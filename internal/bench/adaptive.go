@@ -56,6 +56,9 @@ type AdaptiveResult struct {
 // the list length) — the bench harness is a spine consumer just like
 // Stats.
 func RunAdaptive(bursts, burstSize int, blockSize uint64) (*AdaptiveResult, error) {
+	if bursts < 1 || burstSize < 1 {
+		return nil, fmt.Errorf("bench: adaptive needs at least one burst of at least one block, got %d bursts of %d blocks", bursts, burstSize)
+	}
 	res := &AdaptiveResult{Bursts: bursts, BurstSize: burstSize, BlockSize: blockSize}
 	for _, adaptive := range []bool{false, true} {
 		var events core.EventCounter

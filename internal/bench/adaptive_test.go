@@ -49,6 +49,17 @@ func TestAdaptiveBeatsFixed(t *testing.T) {
 	}
 }
 
+// TestAdaptiveRejectsEmptyBursts: a run with no bursts, or empty ones,
+// has no operations to rate; it must fail up front rather than print NaN
+// pairs/sec (which -json cannot encode).
+func TestAdaptiveRejectsEmptyBursts(t *testing.T) {
+	for _, tc := range []struct{ bursts, burst int }{{0, 400}, {200, 0}, {-1, 400}, {200, -5}} {
+		if _, err := RunAdaptive(tc.bursts, tc.burst, 128); err == nil {
+			t.Errorf("RunAdaptive(%d, %d, 128) accepted a degenerate workload", tc.bursts, tc.burst)
+		}
+	}
+}
+
 // TestAdaptiveJSON checks the -json payload round-trips and carries the
 // derived miss rates as plain fields.
 func TestAdaptiveJSON(t *testing.T) {

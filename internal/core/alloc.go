@@ -134,12 +134,6 @@ func New(m *machine.Machine, params Params) (*Allocator, error) {
 	if err := p.validate(cfg.PageBytes, cfg.MemBytes); err != nil {
 		return nil, err
 	}
-	if p.Harden != nil {
-		// Harden supersedes the legacy Poison debug mode: its own
-		// poison/verify machinery (distinct fill bytes, reports instead
-		// of panics) runs on the same paths.
-		p.Poison = false
-	}
 	if uint64(1)<<p.VmblkShift > cfg.MemBytes {
 		return nil, fmt.Errorf("core: vmblk size exceeds arena")
 	}
@@ -441,8 +435,6 @@ func (a *Allocator) allocClassOp(c *machine.CPU, cls int) (arena.Addr, error) {
 					// Block swallowed into quarantine; retry.
 					continue
 				}
-			} else if a.params.Poison {
-				a.poisonCheck(b, a.classes[cls].size)
 			}
 			return b, nil
 		}
@@ -533,16 +525,6 @@ func (a *Allocator) freeClassOp(c *machine.CPU, cls int, addr arena.Addr) {
 			// serving; the block never re-enters circulation.
 			return
 		}
-	} else if a.params.Poison {
-		// Debug mode: a free through the wrong cookie would silently
-		// thread the block onto the wrong class's freelists; catch it at
-		// the source via the page descriptor.
-		pd, _ := a.vm.lookup(c, addr)
-		if pd.state != pdSplit || int(pd.class) != cls {
-			panic(fmt.Sprintf("kmem: free of %#x as class %d (size %d) but page is %s/class %d",
-				addr, cls, a.classes[cls].size, pdStateName(pd.state), pd.class))
-		}
-		a.poison(addr, a.classes[cls].size)
 	}
 	cpu := c.ID()
 	pc := &a.percpu[cpu][cls]
@@ -669,22 +651,4 @@ func (a *Allocator) allocLargeWithReclaim(c *machine.CPU, size uint64) (arena.Ad
 		}
 	}
 	return arena.NilAddr, exhaustErr(err)
-}
-
-// poison fills a freed block's payload (past the link word) with a
-// pattern; poisonCheck verifies it on reallocation.
-const poisonByte = 0xdb
-
-func (a *Allocator) poison(addr arena.Addr, size uint32) {
-	if size > 8 {
-		a.mem.Fill(addr+8, uint64(size-8), poisonByte)
-	}
-}
-
-func (a *Allocator) poisonCheck(addr arena.Addr, size uint32) {
-	if size > 8 {
-		if off, ok := a.mem.CheckFill(addr+8, uint64(size-8), poisonByte); !ok {
-			panic(fmt.Sprintf("kmem: block %#x modified while free (offset %d)", addr, off+8))
-		}
-	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"kmem/internal/arena"
+	"kmem/internal/harden"
 	"kmem/internal/machine"
 )
 
@@ -26,7 +27,14 @@ func testAllocator(t *testing.T, ncpu int, physPages int64, p Params) (*Allocato
 }
 
 func defaultTestAllocator(t *testing.T) (*Allocator, *machine.Machine) {
-	return testAllocator(t, 4, 1024, Params{RadixSort: true, Poison: true})
+	return testAllocator(t, 4, 1024, Params{RadixSort: true})
+}
+
+// panicHarden is the debug poison mode: hardening under PolicyPanic, so
+// a use-after-free write or a wrong-class free panics at the operation
+// that detects it.
+func panicHarden() *harden.Config {
+	return &harden.Config{Policy: harden.PolicyPanic}
 }
 
 func checkOK(t *testing.T, a *Allocator) {
@@ -440,8 +448,8 @@ func TestPageReleasedWhenAllBlocksFree(t *testing.T) {
 	checkOK(t, a)
 }
 
-func TestPoisonDetectsUseAfterFree(t *testing.T) {
-	a, m := defaultTestAllocator(t)
+func TestHardenPanicDetectsUseAfterFree(t *testing.T) {
+	a, m := testAllocator(t, 4, 1024, Params{RadixSort: true, Harden: panicHarden()})
 	c := m.CPU(0)
 	b, _ := a.Alloc(c, 64)
 	a.Free(c, b, 64)
@@ -460,7 +468,7 @@ func TestPoisonDetectsUseAfterFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		if nb == b {
-			return // poisonCheck should have panicked before this
+			return // hardenAlloc should have panicked before this
 		}
 	}
 	t.Fatal("freed block never reallocated")

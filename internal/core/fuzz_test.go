@@ -72,7 +72,7 @@ func FuzzAllocatorOps(f *testing.F) {
 		cfg.MemBytes = 16 << 20
 		cfg.PhysPages = 256
 		m := machine.New(cfg)
-		a, err := New(m, Params{RadixSort: true, Poison: true})
+		a, err := New(m, Params{RadixSort: true, Harden: panicHarden()})
 		if err != nil {
 			t.Fatal(err)
 		}

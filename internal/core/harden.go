@@ -246,9 +246,8 @@ func (a *Allocator) hardenAlloc(c *machine.CPU, cls int, b arena.Addr) bool {
 }
 
 // hardenFree runs the free-side checks: wrong-class/misaligned frees
-// panic (interface bugs, as in the legacy Poison mode), double frees
-// and redzone overruns file reports, and legitimate frees are poisoned
-// and recorded. It returns false when the free was swallowed — a double
+// panic (interface bugs), double frees and redzone overruns file
+// reports, and legitimate frees are poisoned and recorded. It returns false when the free was swallowed — a double
 // free, a free into a quarantined page, or a detection under
 // PolicyQuarantine — and freeClass must not thread the block.
 func (a *Allocator) hardenFree(c *machine.CPU, cls int, addr arena.Addr) bool {

@@ -229,3 +229,41 @@ func TestNativeStatsDuringTraffic(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// TestNativeCarveRacesNeighbourFree pins the page-carve stamp under the
+// vmblk lock. Two CPUs churn the 2048- and 4096-byte classes in bursts,
+// so one CPU carves fresh pages while the other frees whole pages next
+// to them: freePagesLocked reads the neighbouring descriptor's state to
+// coalesce, so carvePage must stamp that state before the vmblk lock
+// drops. Run under -race.
+func TestNativeCarveRacesNeighbourFree(t *testing.T) {
+	a, m := nativeAllocator(t, 2, 1024)
+	sizes := []uint64{2048, 4096}
+	var wg sync.WaitGroup
+	for i, sz := range sizes {
+		wg.Add(1)
+		go func(c *machine.CPU, sz uint64) {
+			defer wg.Done()
+			held := make([]arena.Addr, 0, 64)
+			for round := 0; round < 200; round++ {
+				for j := 0; j < 64; j++ {
+					b, err := a.Alloc(c, sz)
+					if err != nil {
+						t.Errorf("alloc %d: %v", sz, err)
+						return
+					}
+					held = append(held, b)
+				}
+				for _, b := range held {
+					a.Free(c, b, sz)
+				}
+				held = held[:0]
+			}
+		}(m.CPU(i), sz)
+	}
+	wg.Wait()
+	a.DrainAll(m.CPU(0))
+	if err := a.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+}

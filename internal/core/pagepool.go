@@ -153,15 +153,12 @@ func (p *pagePool) carvePage(c *machine.CPU) (int32, error) {
 		p.al.noteFault()
 		return -1, ErrNoMemory
 	}
-	pg, err := p.al.vm.allocPages(c, 1, p.node)
+	pg, err := p.al.vm.allocSplitPage(c, p.node, p.cls)
 	if err != nil {
 		return -1, err
 	}
 	c.Work(insnPageSetup)
 	pd := p.al.vm.pdOf(pg)
-	pd.state = pdSplit
-	pd.class = int8(p.cls)
-	pd.spanPages = 1
 	if p.al.hd != nil {
 		p.al.hd.forgetPage(c, pg)
 	}
@@ -174,9 +171,6 @@ func (p *pagePool) carvePage(c *machine.CPU) (int32, error) {
 		b := base + arena.Addr(i)*arena.Addr(p.size)
 		mem.Store64(b, head)
 		c.WriteAddr(b)
-		if p.al.params.Poison {
-			p.al.poison(b, p.size)
-		}
 		head = b
 	}
 	pd.freeHead = head

@@ -44,18 +44,6 @@ type Params struct {
 	// (TestLazySpansOffCycleIdentity).
 	LazySpans bool
 
-	// SpanAgeTicks ages free lazy spans before their backing is
-	// stripped: a span must have been free for at least this many
-	// reclaim ticks (one tick per voluntary decommit pass — Trim,
-	// incremental reclaim steps) before the pass releases its resident
-	// pages, so bursty workloads stop paying the recommit zero-fill for
-	// memory they are about to reuse. Paths that need frames to satisfy
-	// an allocation — stop-the-world reclaim, DrainAll, and the
-	// in-commit decommit-fallback retry — ignore the age. 0, the
-	// default, preserves the age-blind decommit behavior exactly.
-	// Meaningless without LazySpans.
-	SpanAgeTicks uint64
-
 	// TargetFor overrides the per-CPU cache target for a block size.
 	// Nil selects DefaultTarget, the paper's heuristic ("ranges from 10
 	// for 16-byte blocks to just 2 for 4096-byte blocks").
@@ -71,10 +59,6 @@ type Params struct {
 	// with the fewest free blocks are allocated from first). When
 	// false, a FIFO page list is used instead — the A3 ablation.
 	RadixSort bool
-
-	// Poison fills freed block payloads with a pattern so that
-	// use-after-free shows up in tests.
-	Poison bool
 
 	// DebugOwnership panics when two goroutines drive the same CPU
 	// handle concurrently — the misuse the per-CPU design forbids, which
@@ -169,8 +153,9 @@ type Params struct {
 	// requests map size to the class serving size+Redzone, so usable
 	// cookie/small sizes shrink by the redzone width. Nil — the default
 	// — keeps every path cycle-identical to the unhardened allocator
-	// (TestHardenOffCycleIdentity). Harden supersedes Poison on the
-	// class paths: its own poison/verify machinery runs instead.
+	// (TestHardenOffCycleIdentity). Harden with PolicyPanic is the debug
+	// poison mode: a use-after-free write or a free through the wrong
+	// class panics at the detecting operation.
 	Harden *harden.Config
 
 	// Latency arms the per-op latency recorder: every small-block class

@@ -25,7 +25,7 @@ func TestQuickRandomOpSequences(t *testing.T) {
 		cfg.MemBytes = 16 << 20
 		cfg.PhysPages = 512
 		m := machine.New(cfg)
-		a, err := New(m, Params{RadixSort: true, Poison: true})
+		a, err := New(m, Params{RadixSort: true, Harden: panicHarden()})
 		if err != nil {
 			t.Fatal(err)
 		}

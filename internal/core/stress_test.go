@@ -22,7 +22,7 @@ func TestSimStressMixedSizes(t *testing.T) {
 	cfg.MemBytes = 64 << 20
 	cfg.PhysPages = 8192
 	m := machine.New(cfg)
-	a, err := New(m, Params{RadixSort: true, Poison: true})
+	a, err := New(m, Params{RadixSort: true})
 	if err != nil {
 		t.Fatal(err)
 	}

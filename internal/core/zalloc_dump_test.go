@@ -111,8 +111,8 @@ func TestDumpShowsState(t *testing.T) {
 	}
 }
 
-func TestPoisonModeCatchesWrongCookieFree(t *testing.T) {
-	a, m := defaultTestAllocator(t)
+func TestHardenPanicCatchesWrongCookieFree(t *testing.T) {
+	a, m := testAllocator(t, 4, 1024, Params{RadixSort: true, Harden: panicHarden()})
 	c := m.CPU(0)
 	ck64, _ := a.GetCookie(64)
 	ck256, _ := a.GetCookie(256)
@@ -125,7 +125,7 @@ func TestPoisonModeCatchesWrongCookieFree(t *testing.T) {
 			t.Fatal("wrong-cookie free not detected")
 		}
 	}()
-	a.FreeCookie(c, b, ck256) // wrong class: must panic in poison mode
+	a.FreeCookie(c, b, ck256) // wrong class: hardenFree must panic
 }
 
 func TestDumpOnFreshAllocator(t *testing.T) {

@@ -32,8 +32,8 @@ import (
 )
 
 // PoisonByte fills freed payloads ("0xdeadbeef-style"); distinct from
-// core's legacy 0xdb poison and the lazy-span 0xdc decommit scrub so a
-// post-mortem hexdump names the machinery that wrote each byte.
+// the lazy-span 0xdc decommit scrub so a post-mortem hexdump names the
+// machinery that wrote each byte.
 const PoisonByte = 0xde
 
 // CanaryByte fills redzones while a block is allocated.

@@ -269,7 +269,6 @@ func (r *Runner) Run() (Report, error) {
 
 	p := core.Params{
 		RadixSort:           true,
-		Poison:              true,
 		LazySpans:           cfg.Lazy,
 		DisableRemoteShards: cfg.DisableShards,
 		Rseq:                cfg.Rseq,

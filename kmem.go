@@ -229,10 +229,6 @@ type Config struct {
 	// exhaustion seams (FaultPhysMap, FaultVmblkCarve,
 	// FaultPagePoolRefill).
 	Faults *FaultSet
-	// Poison fills freed memory with a pattern and checks it on
-	// reallocation (debugging aid). Superseded by Harden, which includes
-	// poisoning; Poison is ignored when Harden is non-nil.
-	Poison bool
 	// Harden enables the corruption-hardening layer: redzone canaries
 	// verified on free and on reclaim sweeps, poison-on-free with
 	// verify-on-alloc, per-CPU audit rings with last-owner provenance,
@@ -291,7 +287,6 @@ func NewSystem(cfg Config) (*System, error) {
 		Pressure:       cfg.Pressure,
 		Wait:           cfg.Wait,
 		Faults:         cfg.Faults,
-		Poison:         cfg.Poison,
 		Harden:         cfg.Harden,
 		DebugOwnership: cfg.DebugOwnership,
 	})

@@ -170,8 +170,10 @@ func TestSimDeterministic(t *testing.T) {
 	}
 }
 
-func TestPoisonMode(t *testing.T) {
-	s := newSys(t, Config{Poison: true})
+// TestHardenPanicMode: Harden under PolicyPanic is the facade's debug
+// poison mode — a write to freed memory panics on reallocation.
+func TestHardenPanicMode(t *testing.T) {
+	s := newSys(t, Config{Harden: &HardenConfig{Policy: PolicyPanic}})
 	c := s.CPU(0)
 	b, _ := s.Alloc(c, 64)
 	s.Free(c, b, 64)
