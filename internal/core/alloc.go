@@ -15,6 +15,11 @@ import (
 // ErrBadSize is returned for zero-sized or absurd requests.
 var ErrBadSize = errors.New("kmem: invalid allocation size")
 
+// ErrLockFreeNative is New's error for Params.LockFree on a Native-mode
+// machine: the flag is a Sim-only cost model with no Native
+// implementation.
+var ErrLockFreeNative = errors.New("core: Params.LockFree is Sim-only; Native mode rejects it")
+
 // Allocator is the paper's four-layer kernel memory allocator. One
 // Allocator manages one machine's kernel address space; per-CPU state is
 // indexed by the machine.CPU handle passed to every operation, exactly as
@@ -54,8 +59,7 @@ type Allocator struct {
 	rseq []*machine.Rseq
 
 	// lockFree gates the Sim-mode Treiber fast paths of the global and
-	// page layers: Params.LockFree and the machine is in Sim mode (the
-	// CAS cost model is what the flag buys; Native keeps the locks).
+	// page layers (Params.LockFree; New rejects it in Native mode).
 	lockFree bool
 
 	// spillScratch[cpu] is that CPU's reusable per-node partition buffer
@@ -137,6 +141,9 @@ func New(m *machine.Machine, params Params) (*Allocator, error) {
 	if uint64(1)<<p.VmblkShift > cfg.MemBytes {
 		return nil, fmt.Errorf("core: vmblk size exceeds arena")
 	}
+	if p.LockFree && !m.Sim() {
+		return nil, ErrLockFreeNative
+	}
 
 	a := &Allocator{
 		m:          m,
@@ -148,7 +155,7 @@ func New(m *machine.Machine, params Params) (*Allocator, error) {
 	}
 	a.pageShift = uint(bits.TrailingZeros64(cfg.PageBytes))
 	a.pagesPerVmblkShift = a.vmblkShift - a.pageShift
-	a.lockFree = p.LockFree && m.Sim()
+	a.lockFree = p.LockFree
 
 	a.sizeToClass = make([]int8, a.maxSmall+1)
 	cls := 0
@@ -403,7 +410,8 @@ func (a *Allocator) pcpuInterfere(c *machine.CPU, cpu int, body func()) {
 // allocClassOp allocates one block of class cls on CPU c: per-CPU cache
 // first, then the global layer, then the low-memory reclaim path. Under
 // PressureCritical the reclaim retries are incremental — a budget of
-// reclaimSteps() single-CPU/single-pool steps, each followed by a retry —
+// reclaimSteps() single-CPU/single-pool steps, with a retry after each
+// step that releases something and after the budget's last step —
 // instead of the one stop-the-world flush used otherwise. Callers go
 // through allocClass (latency.go), which stamps the op when the latency
 // recorder is armed.
@@ -500,8 +508,7 @@ func (a *Allocator) allocClassOp(c *machine.CPU, cls int) (arena.Addr, error) {
 			}
 		}
 		if reclaimBudget > 0 {
-			reclaimBudget--
-			a.reclaimStep(c)
+			a.reclaimUntilProgress(c, &reclaimBudget)
 			continue
 		}
 		return arena.NilAddr, exhaustErr(err)
@@ -629,17 +636,17 @@ func (a *Allocator) routeSpill(c *machine.CPU, cls int, spill blocklist.List) {
 
 // allocLargeWithReclaim is the large path plus reclaim retries, so that
 // multi-page allocations also benefit from low-memory recovery. As in
-// allocClass, PressureCritical takes incremental steps with a retry
-// after each, while the normal path keeps the single stop-the-world
-// reclaim retry.
+// allocClassOp, PressureCritical spends a budget of incremental steps,
+// retrying after each step that releases something and after the last,
+// while the normal path keeps the single stop-the-world reclaim retry.
 func (a *Allocator) allocLargeWithReclaim(c *machine.CPU, size uint64) (arena.Addr, error) {
 	b, err := a.vmAllocLarge(c, size)
 	if err == nil {
 		return b, nil
 	}
 	if a.pressureLevel() == PressureCritical {
-		for i := a.reclaimSteps(); i > 0; i-- {
-			a.reclaimStep(c)
+		for budget := a.reclaimSteps(); budget > 0; {
+			a.reclaimUntilProgress(c, &budget)
 			if b, err = a.vmAllocLarge(c, size); err == nil {
 				return b, nil
 			}

@@ -25,8 +25,13 @@ import "kmem/internal/machine"
 // shrunk, destructing those cold constructed buffers and freeing their
 // backing — while an aggressive call (the stop-the-world reclaim and
 // DrainAll paths) also flushes the per-CPU magazines. It returns the
-// number of buffers released to the allocator. The callback runs with no
-// allocator locks held and may call Free/FreeCookie.
+// number of buffers released to the allocator, and that count decides
+// what follows an incremental reclaim step under PressureCritical: a
+// positive return makes the allocation that ran the step retry, while
+// zero lets it move straight on to the next step. A callback that frees
+// buffers but reports 0 therefore hides them from that retry until the
+// budget's final one. The callback runs with no allocator locks held and
+// may call Free/FreeCookie.
 type CacheShedFunc func(c *machine.CPU, aggressive bool) int
 
 type cacheShedEntry struct {
@@ -94,15 +99,15 @@ func (a *Allocator) numShedders() int {
 // churn, so no amount of unregister/re-register reshuffling between
 // steps can starve a cache that stays registered — the position-modulo
 // selection this replaces could land on the same slot every step while a
-// neighbor was never visited.
-func (a *Allocator) shedOne(c *machine.CPU) {
+// neighbor was never visited. Returns the buffers the shed released.
+func (a *Allocator) shedOne(c *machine.CPU) int {
 	a.shedMu.Lock()
 	var fn CacheShedFunc
 	for fn == nil {
 		if len(a.shedQueue) == 0 {
 			if len(a.shedFns) == 0 {
 				a.shedMu.Unlock()
-				return
+				return 0
 			}
 			for _, e := range a.shedFns {
 				a.shedQueue = append(a.shedQueue, e.id)
@@ -118,7 +123,7 @@ func (a *Allocator) shedOne(c *machine.CPU) {
 		}
 	}
 	a.shedMu.Unlock()
-	fn(c, false)
+	return fn(c, false)
 }
 
 // EmitCacheEvent pushes an object-cache event (EvCtorRun, EvCacheShed)

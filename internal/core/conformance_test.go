@@ -72,9 +72,9 @@ func TestObjCacheLifecycleLazy(t *testing.T) {
 
 // optFactory builds the allocator with the optimistic fast paths
 // configured, for the concurrent conformance suite: restartable
-// per-CPU sequences, the CAS-based global layer, or both, in either
-// machine mode. (Native keeps the locked global layer — LockFree is a
-// Sim-only commit model — but the rseq path is live in both.)
+// per-CPU sequences, the CAS-based global layer, or both. The rseq path
+// is live in either machine mode; LockFree is a Sim-only commit model
+// that New rejects in Native mode.
 func optFactory(rseq, lockFree bool, mode machine.Mode) alloctest.Factory {
 	return func(t *testing.T, ncpu int, physPages int64) alloctest.Instance {
 		cfg := machine.DefaultConfig()
@@ -118,7 +118,7 @@ func TestConcurrentGetPutOptimistic(t *testing.T) {
 }
 
 func TestConcurrentGetPutNative(t *testing.T) {
-	alloctest.RunConcurrentGetPut(t, optFactory(true, true, machine.Native))
+	alloctest.RunConcurrentGetPut(t, optFactory(true, false, machine.Native))
 }
 
 // hardenedFactory builds the allocator with the corruption-hardening

@@ -517,8 +517,9 @@ func (g *globalPool) stealList(c *machine.CPU) blocklist.List {
 
 // drainAll pushes every block in the pool down to the coalesce-to-page
 // layer. The low-memory reclaim path uses it to let fully-free pages be
-// released for other sizes and for user processes.
-func (g *globalPool) drainAll(c *machine.CPU) {
+// released for other sizes and for user processes. Returns the blocks
+// pushed down plus, under LockFree, the parked pages released.
+func (g *globalPool) drainAll(c *machine.CPU) int {
 	g.lk.Acquire(c)
 	c.Read(g.line)
 	all := g.lists
@@ -527,7 +528,9 @@ func (g *globalPool) drainAll(c *machine.CPU) {
 	c.Write(g.line)
 	g.lk.Release(c)
 
+	n := bucket.Len()
 	for _, l := range all {
+		n += l.Len()
 		g.pp.putBlocks(c, l)
 	}
 	if !bucket.Empty() {
@@ -537,8 +540,9 @@ func (g *globalPool) drainAll(c *machine.CPU) {
 		// Parked fully-free pages (the page layer's lock-free refill
 		// stack) must not survive a drain either: release them to the
 		// vmblk layer so the heap returns to its floor footprint.
-		g.pp.drainParked(c)
+		n += g.pp.drainParked(c)
 	}
+	return n
 }
 
 // blocksHeld reports the number of blocks currently in the pool. Used by

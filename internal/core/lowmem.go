@@ -69,7 +69,13 @@ func (a *Allocator) Reclaims() uint64 { return a.reclaims.Load() }
 // tests use it to reach deterministic states. A drain also requotes the
 // cache's target from the class controller: a drained cache must not
 // resume exchanging stale-sized lists after an adaptive retune.
-func (a *Allocator) DrainCPU(c *machine.CPU, cpu int) {
+func (a *Allocator) DrainCPU(c *machine.CPU, cpu int) { a.drainCPU(c, cpu) }
+
+// drainCPU is DrainCPU returning the number of blocks it took from the
+// CPU's main, aux and remote-shard lists — the release count of a
+// reclaimStep that lands on this CPU.
+func (a *Allocator) drainCPU(c *machine.CPU, cpu int) int {
+	taken := 0
 	for cls := range a.classes {
 		ctl := a.classes[cls].ctl
 		pc := &a.percpu[cpu][cls]
@@ -87,6 +93,10 @@ func (a *Allocator) DrainCPU(c *machine.CPU, cpu int) {
 				pc.target = ctl.curTarget()
 			}
 		})
+		taken += main.Len() + aux.Len()
+		for node := range shards {
+			taken += shards[node].Len()
+		}
 		if a.nodes == 1 {
 			if !main.Empty() {
 				a.classes[cls].globals[0].putList(c, main)
@@ -116,6 +126,7 @@ func (a *Allocator) DrainCPU(c *machine.CPU, cpu int) {
 			}
 		}
 	}
+	return taken
 }
 
 // DrainAll flushes every cache at every layer, leaving all free memory

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"sync"
 	"testing"
@@ -265,5 +266,21 @@ func TestNativeCarveRacesNeighbourFree(t *testing.T) {
 	a.DrainAll(m.CPU(0))
 	if err := a.CheckConsistency(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNativeRejectsLockFree: Params.LockFree is a Sim-only cost model,
+// so New refuses it on a Native machine instead of silently running the
+// locked paths; Sim mode still accepts it.
+func TestNativeRejectsLockFree(t *testing.T) {
+	for _, mode := range []machine.Mode{machine.Native, machine.Sim} {
+		cfg := machine.DefaultConfig()
+		cfg.Mode = mode
+		cfg.NumCPUs = 2
+		cfg.MemBytes = 16 << 20
+		_, err := New(machine.New(cfg), Params{RadixSort: true, LockFree: true})
+		if native := mode == machine.Native; native != errors.Is(err, ErrLockFreeNative) {
+			t.Errorf("New(LockFree) in mode %v = %v", mode, err)
+		}
 	}
 }

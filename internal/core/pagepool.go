@@ -362,13 +362,15 @@ func (p *pagePool) popParked(c *machine.CPU) int32 {
 // drain path (reclaim, DrainAll, incremental reclaim steps) reaches it
 // through globalPool.drainAll, so parked pages never outlive a drain
 // and the quiescent heap still collapses to its header-pages floor.
-func (p *pagePool) drainParked(c *machine.CPU) {
+// Returns the pages released.
+func (p *pagePool) drainParked(c *machine.CPU) int {
 	if len(p.stk) == 0 {
-		return
+		return 0
 	}
 	p.lk.Acquire(c)
 	p.noteLockWait()
-	for len(p.stk) > 0 {
+	n := 0
+	for ; len(p.stk) > 0; n++ {
 		pg := p.stk[len(p.stk)-1]
 		p.stk = p.stk[:len(p.stk)-1]
 		pd := p.al.vm.pdOf(pg)
@@ -384,4 +386,5 @@ func (p *pagePool) drainParked(c *machine.CPU) {
 		p.al.vm.freePages(c, pg, 1)
 	}
 	p.lk.Release(c)
+	return n
 }

@@ -136,8 +136,8 @@ type Params struct {
 	// but gains a lock-free stack of parked fully-free pages that lets a
 	// refill skip the vmblk span layer entirely. Uncommon paths (bucket
 	// regrouping of odd-sized lists, drains, stats) keep the lock. The
-	// CAS cost model is Sim-mode only: in Native mode the flag leaves the
-	// locked paths in place, since real lock-free publication of the
+	// CAS cost model is Sim-mode only: New fails with ErrLockFreeNative
+	// on a Native-mode machine, since real lock-free publication of the
 	// simulator's Go-slice stacks is not what the model measures — rseq
 	// is the Native-mode optimistic feature. False — the default — keeps
 	// the spin-locked global layer cycle-for-cycle intact.

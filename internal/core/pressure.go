@@ -127,32 +127,57 @@ func (a *Allocator) reclaimSteps() int {
 }
 
 // reclaimStep performs one increment of the reclaim sweep — flush one
-// CPU's caches, or drain one global pool — chosen round-robin by a
-// shared cursor so concurrent critical-path callers divide the sweep
-// instead of each repeating it. The caller is charged insnReclaimStep
-// (versus insnReclaim for the stop-the-world path), which is how
+// CPU's caches, drain one global pool, decommit free spans, or shed one
+// object cache's depot — chosen round-robin by a shared cursor so
+// concurrent critical-path callers divide the sweep instead of each
+// repeating it. The caller is charged insnReclaimStep (versus
+// insnReclaim for the stop-the-world path), which is how
 // PressureCritical converts one caller's long stall into short bounded
-// stalls spread across allocating CPUs.
-func (a *Allocator) reclaimStep(c *machine.CPU) {
+// stalls spread across allocating CPUs. It returns how much the step
+// released: blocks taken from the drained CPU's caches, blocks and
+// parked pages pushed down by a global drain, pages decommitted, or
+// buffers a cache shed freed. Zero means the step moved nothing, so a
+// retry would see exactly what the last failed attempt saw.
+func (a *Allocator) reclaimStep(c *machine.CPU) int {
 	c.Work(insnReclaimStep)
 	i := int((a.reclaimCursor.Add(1) - 1) % uint32(a.reclaimSteps()))
 	a.reclaimStepsDone.Add(1)
 	a.emit(-1, EvReclaimStep, 1)
+	var n int
 	if i < len(a.percpu) {
-		a.DrainCPU(c, i)
+		n = a.drainCPU(c, i)
 	} else if i -= len(a.percpu); i < len(a.classes)*a.nodes {
-		a.classes[i/a.nodes].globals[i%a.nodes].drainAll(c)
+		n = a.classes[i/a.nodes].globals[i%a.nodes].drainAll(c)
 	} else if i -= len(a.classes) * a.nodes; a.params.LazySpans && i == 0 {
-		a.vm.decommitFree(c, trimStepPages)
+		n = int(a.vm.decommitFree(c, trimStepPages))
 	} else {
 		// One object cache's depot shrink — the incremental form of the
 		// cache shed the stop-the-world reclaim performs in full. Only
 		// reached when caches are registered; shedOne keeps its own
 		// id-based cursor, so the rotation position only decides *when*
 		// a shed step runs, not which cache it lands on.
-		a.shedOne(c)
+		n = a.shedOne(c)
 	}
 	a.wakeAll()
+	return n
+}
+
+// reclaimUntilProgress spends the caller's incremental-reclaim budget
+// on steps run back to back, stopping after the first step that
+// releases something or when the budget is gone. The caller retries its
+// allocation after every return: a productive step may have freed what
+// it needs, and the retry after the budget's last step gives a
+// concurrent free (Native mode) its chance even when no step found
+// anything. No other unproductive step is followed by a retry — in the
+// simulator, where an op runs alone, such a retry could only repeat
+// the previous failure.
+func (a *Allocator) reclaimUntilProgress(c *machine.CPU, budget *int) {
+	for *budget > 0 {
+		*budget--
+		if a.reclaimStep(c) > 0 {
+			return
+		}
+	}
 }
 
 // ReclaimStepsDone reports how many incremental reclaim steps have run.

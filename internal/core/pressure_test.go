@@ -304,3 +304,147 @@ func singleton(c *machine.CPU, a *Allocator, b arena.Addr) (l blocklist.List) {
 	l.Push(c, a.mem, b)
 	return l
 }
+
+// exhaust allocates 4096-byte blocks on c until the pool refuses one.
+// The refused allocation ran a full reclaim sweep, so afterwards every
+// cache and pool is empty and the caller holds every data page.
+func exhaust(a *Allocator, c *machine.CPU) (held []arena.Addr) {
+	for {
+		b, err := a.Alloc(c, 4096)
+		if err != nil {
+			return held
+		}
+		held = append(held, b)
+	}
+}
+
+// TestCriticalFailureRetriesOnlyOnProgress pins the cost of a failure
+// when memory is truly gone: the allocation still walks the whole
+// incremental-reclaim budget, but since no step releases anything it
+// retries only once, after the last step — one physmem commit failure
+// for its first attempt and one for that retry, instead of one per step.
+func TestCriticalFailureRetriesOnlyOnProgress(t *testing.T) {
+	a, m := pressureAllocator(t, 20, &PressureConfig{LowPages: 8, MinPages: 6}, nil)
+	c := m.CPU(0)
+	held := exhaust(a, c)
+	if a.Pressure() != PressureCritical {
+		t.Fatalf("pressure at exhaustion = %v", a.Pressure())
+	}
+
+	for _, size := range []uint64{4096, 8192} {
+		steps0 := a.ReclaimStepsDone()
+		fails0 := m.Phys().Stats().Failures
+		if _, err := a.Alloc(c, size); !errors.Is(err, ErrNoMemory) {
+			t.Fatalf("Alloc(%d) on exhausted pool = %v, want ErrNoMemory", size, err)
+		}
+		if got, want := a.ReclaimStepsDone()-steps0, uint64(a.reclaimSteps()); got != want {
+			t.Errorf("Alloc(%d): %d reclaim steps, want the full budget of %d", size, got, want)
+		}
+		// No step is productive, so the retries number 0 + 1: with the
+		// first attempt, two commit failures. Retrying after every step
+		// would make reclaimSteps() + 1.
+		if got := m.Phys().Stats().Failures - fails0; got > 2 {
+			t.Errorf("Alloc(%d): %d physmem failures, want at most 2 (first attempt + final retry)", size, got)
+		}
+	}
+
+	for _, b := range held {
+		a.Free(c, b, 4096)
+	}
+	a.DrainAll(c)
+	checkOK(t, a)
+}
+
+// shedHolding registers a cache whose depot holds block b of the given
+// size and gives it back on its first shed, returning report.
+func shedHolding(a *Allocator, b arena.Addr, size uint64, report int) {
+	a.RegisterCacheShed(func(c *machine.CPU, aggressive bool) int {
+		if b == arena.NilAddr {
+			return 0
+		}
+		a.Free(c, b, size)
+		b = arena.NilAddr
+		return report
+	})
+}
+
+// TestCriticalFindsStrandedMemory strands the only free memory where
+// the reclaim rotation reaches it on the budget's final step — the last
+// CPU's cache, or an object-cache depot behind RegisterCacheShed — and
+// checks that skipping retries after unproductive steps loses no
+// success, on the small-class and the large path alike. A shed that
+// frees its buffer but reports 0 is found only by the retry that always
+// follows the budget's last step; one that reports its buffer midway
+// through the budget ends the run of steps right there.
+func TestCriticalFindsStrandedMemory(t *testing.T) {
+	pc := &PressureConfig{LowPages: 8, MinPages: 6}
+
+	t.Run("last-cpu-cache", func(t *testing.T) {
+		a, m := pressureAllocator(t, 20, pc, nil)
+		c0, c1 := m.CPU(0), m.CPU(1)
+		held := exhaust(a, c0)
+		// The freed block lodges in CPU 1's cache; start the rotation
+		// just past the CPUs so CPU 1's drain is the last step.
+		a.Free(c1, held[len(held)-1], 4096)
+		held = held[:len(held)-1]
+		a.reclaimCursor.Store(uint32(len(a.percpu)))
+		steps0 := a.ReclaimStepsDone()
+		b, err := a.Alloc(c0, 4096)
+		if err != nil {
+			t.Fatalf("block stranded in the last CPU's cache not found: %v", err)
+		}
+		if got, want := a.ReclaimStepsDone()-steps0, uint64(a.reclaimSteps()); got != want {
+			t.Errorf("%d reclaim steps, want %d (the stranded cache is the last step)", got, want)
+		}
+		for _, b := range append(held, b) {
+			a.Free(c0, b, 4096)
+		}
+		a.DrainAll(c0)
+		checkOK(t, a)
+	})
+
+	for _, tc := range []struct {
+		name   string
+		size   uint64
+		report int
+		midway bool // start two steps before the shed instead of a full budget before
+	}{
+		{"cache-depot-small", 4096, 1, false},
+		{"cache-depot-large", 8192, 1, false},
+		{"cache-depot-unreported", 4096, 0, false},
+		{"cache-depot-midway", 4096, 1, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			size := tc.size
+			a, m := pressureAllocator(t, 20, pc, nil)
+			c := m.CPU(0)
+			cached, err := a.Alloc(c, size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			held := exhaust(a, c)
+			shedHolding(a, cached, size, tc.report)
+			// The one shed is the rotation's last slot, so a cursor at 0
+			// makes it the budget's last step.
+			want := a.reclaimSteps()
+			if tc.midway {
+				want = 3
+			}
+			a.reclaimCursor.Store(uint32(a.reclaimSteps() - want))
+			steps0 := a.ReclaimStepsDone()
+			b, err := a.Alloc(c, size)
+			if err != nil {
+				t.Fatalf("Alloc(%d): buffer stranded in a cache depot not found: %v", size, err)
+			}
+			if got := a.ReclaimStepsDone() - steps0; got != uint64(want) {
+				t.Errorf("%d reclaim steps, want %d (up to and including the shed)", got, want)
+			}
+			a.Free(c, b, size)
+			for _, b := range held {
+				a.Free(c, b, 4096)
+			}
+			a.DrainAll(c)
+			checkOK(t, a)
+		})
+	}
+}
