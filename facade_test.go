@@ -81,7 +81,7 @@ func TestFacadeDrainCPU(t *testing.T) {
 }
 
 func TestFacadeDebugOwnership(t *testing.T) {
-	s, err := NewSystem(Config{Mode: Native, CPUs: 1, DebugOwnership: true})
+	s, err := NewSystem(Config{Mode: Native, CPUs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

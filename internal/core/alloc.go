@@ -50,13 +50,11 @@ type Allocator struct {
 
 	vm     *vmblkLayer
 	percpu [][]pcpu // [cpu][class]
-	intr   []paddedIntrLock
 
-	// rseq[cpu] is the CPU's restartable-sequence region guarding its
-	// per-CPU caches across every class, exactly the scope intr[cpu]
-	// guards; nil unless Params.Rseq. All access goes through pcpuRun
-	// (owner) and pcpuInterfere (foreign drains, stats).
-	rseq []*machine.Rseq
+	// regions[cpu] is the CPU's critical section guarding its per-CPU
+	// caches across every class: Run on the owner's fast paths,
+	// Interfere for foreign drains and stats.
+	regions []machine.Region
 
 	// lockFree gates the Sim-mode Treiber fast paths of the global and
 	// page layers (Params.LockFree; New rejects it in Native mode).
@@ -199,7 +197,7 @@ func New(m *machine.Machine, params Params) (*Allocator, error) {
 	a.shards = a.nodes > 1 && !p.DisableRemoteShards
 	n := m.NumCPUs()
 	a.percpu = make([][]pcpu, n)
-	a.intr = make([]paddedIntrLock, n)
+	a.regions = make([]machine.Region, n)
 	for cpu := 0; cpu < n; cpu++ {
 		a.percpu[cpu] = make([]pcpu, len(p.Classes))
 		for k := range a.percpu[cpu] {
@@ -219,9 +217,8 @@ func New(m *machine.Machine, params Params) (*Allocator, error) {
 		}
 	}
 	if p.Rseq {
-		a.rseq = make([]*machine.Rseq, n)
 		for cpu := 0; cpu < n; cpu++ {
-			a.rseq[cpu] = machine.NewRseqOn(m, m.NodeOf(cpu))
+			a.regions[cpu].InitRseq(m, m.NodeOf(cpu))
 		}
 	}
 
@@ -371,40 +368,6 @@ func (a *Allocator) FreeByAddr(c *machine.CPU, addr arena.Addr) {
 	}
 }
 
-// --- per-CPU critical sections --------------------------------------------
-
-// pcpuRun executes body as CPU cpu's per-CPU critical section — a
-// restartable sequence under Params.Rseq, the interrupt-disable pair
-// otherwise. Only the owning CPU's instruction stream may use it; body
-// receives the number of aborted attempts so restart tallies land in
-// state the section itself protects.
-func (a *Allocator) pcpuRun(c *machine.CPU, cpu int, body func(restarts int)) {
-	if a.rseq != nil {
-		a.rseq[cpu].Run(c, body)
-		return
-	}
-	il := &a.intr[cpu]
-	il.Acquire(c)
-	body(0)
-	il.Release(c)
-}
-
-// pcpuInterfere executes body against CPU cpu's per-CPU caches from a
-// (possibly) foreign instruction stream: under Params.Rseq it claims
-// the victim's region and bumps its epoch so in-flight sequences abort
-// and restart instead of racing; otherwise it takes the victim's
-// IntrLock exactly as the pre-rseq drains did.
-func (a *Allocator) pcpuInterfere(c *machine.CPU, cpu int, body func()) {
-	if a.rseq != nil {
-		a.rseq[cpu].Interfere(c, body)
-		return
-	}
-	il := &a.intr[cpu]
-	il.Acquire(c)
-	body()
-	il.Release(c)
-}
-
 // --- per-class operations -------------------------------------------------
 
 // allocClassOp allocates one block of class cls on CPU c: per-CPU cache
@@ -416,9 +379,6 @@ func (a *Allocator) pcpuInterfere(c *machine.CPU, cpu int, body func()) {
 // through allocClass (latency.go), which stamps the op when the latency
 // recorder is armed.
 func (a *Allocator) allocClassOp(c *machine.CPU, cls int) (arena.Addr, error) {
-	if a.params.DebugOwnership {
-		defer c.EndExclusive(c.BeginExclusive())
-	}
 	cpu := c.ID()
 	pc := &a.percpu[cpu][cls]
 	ctl := a.classes[cls].ctl
@@ -427,7 +387,7 @@ func (a *Allocator) allocClassOp(c *machine.CPU, cls int) (arena.Addr, error) {
 	for {
 		var b arena.Addr
 		var ok bool
-		a.pcpuRun(c, cpu, func(restarts int) {
+		a.regions[cpu].Run(c, func(restarts int) {
 			if restarts > 0 {
 				pc.ev[EvRseqRestart] += uint64(restarts)
 			}
@@ -471,7 +431,7 @@ func (a *Allocator) allocClassOp(c *machine.CPU, cls int) (arena.Addr, error) {
 		if !lst.Empty() {
 			n := lst.Len()
 			var delta uint64
-			a.pcpuRun(c, cpu, func(restarts int) {
+			a.regions[cpu].Run(c, func(restarts int) {
 				if restarts > 0 {
 					pc.ev[EvRseqRestart] += uint64(restarts)
 				}
@@ -522,9 +482,6 @@ func (a *Allocator) freeClassOp(c *machine.CPU, cls int, addr arena.Addr) {
 	if addr == arena.NilAddr {
 		panic("kmem: free of nil address")
 	}
-	if a.params.DebugOwnership {
-		defer c.EndExclusive(c.BeginExclusive())
-	}
 	if a.hd != nil {
 		if !a.hardenFree(c, cls, addr) {
 			// The free was swallowed: double free, quarantined page, or
@@ -544,7 +501,7 @@ func (a *Allocator) freeClassOp(c *machine.CPU, cls int, addr arena.Addr) {
 	flushHome := -1
 	var delta uint64
 	noted := false
-	a.pcpuRun(c, cpu, func(restarts int) {
+	a.regions[cpu].Run(c, func(restarts int) {
 		if restarts > 0 {
 			pc.ev[EvRseqRestart] += uint64(restarts)
 		}

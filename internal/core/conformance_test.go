@@ -72,9 +72,9 @@ func TestObjCacheLifecycleLazy(t *testing.T) {
 
 // optFactory builds the allocator with the optimistic fast paths
 // configured, for the concurrent conformance suite: restartable
-// per-CPU sequences, the CAS-based global layer, or both. The rseq path
-// is live in either machine mode; LockFree is a Sim-only commit model
-// that New rejects in Native mode.
+// per-CPU sequences, the CAS-based global layer, or both. Both are Sim
+// cost models: Native mode always runs the per-CPU claim-word protocol
+// whatever Rseq says, and New rejects LockFree there.
 func optFactory(rseq, lockFree bool, mode machine.Mode) alloctest.Factory {
 	return func(t *testing.T, ncpu int, physPages int64) alloctest.Instance {
 		cfg := machine.DefaultConfig()
@@ -100,7 +100,8 @@ func optFactory(rseq, lockFree bool, mode machine.Mode) alloctest.Factory {
 // The concurrent conformance suite: all-CPU Alloc/Free under aggressive
 // restart jitter, shadow oracle plus consistency audits, across every
 // fast-path configuration. The Native variant runs real goroutines and
-// is the -race coverage for the rseq interference path.
+// is the -race coverage for the per-CPU regions' claim-word and
+// interference paths.
 func TestConcurrentGetPut(t *testing.T) {
 	alloctest.RunConcurrentGetPut(t, factory(false, false))
 }
@@ -118,7 +119,7 @@ func TestConcurrentGetPutOptimistic(t *testing.T) {
 }
 
 func TestConcurrentGetPutNative(t *testing.T) {
-	alloctest.RunConcurrentGetPut(t, optFactory(true, false, machine.Native))
+	alloctest.RunConcurrentGetPut(t, optFactory(false, false, machine.Native))
 }
 
 // hardenedFactory builds the allocator with the corruption-hardening

@@ -124,9 +124,10 @@ const (
 	EvCorruption
 	EvQuarantine
 
-	// Optimistic-concurrency events (Params.Rseq / Params.LockFree; all
-	// zero with both off). EvRseqRestart counts restartable-sequence
-	// attempts aborted by preemption/interference (n = aborts);
+	// Optimistic-concurrency events (Params.Rseq / Params.LockFree; in
+	// Sim, zero with both off). EvRseqRestart counts restartable-sequence
+	// attempts aborted by preemption/interference (n = aborts; Native
+	// mode counts epoch aborts whatever Params.Rseq says);
 	// EvCASRetry counts lock-free commit attempts that lost their CAS to
 	// a concurrent commit and re-ran (n = retries). Both are tallied in
 	// the owning structure's counters on the paths where they occur;

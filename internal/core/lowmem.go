@@ -18,9 +18,10 @@ import (
 // class (or large request) is starving.
 //
 // In a real kernel the per-CPU flushes would be requested by IPI; in this
-// reproduction the requesting CPU performs each flush directly under the
-// owner's IntrLock (a real mutex in native mode, an interrupt-disable
-// cost charge in the deterministic simulator) and is charged the work.
+// reproduction the requesting CPU performs each flush directly through
+// the owner's region (machine.Region.Interfere: a claim-word handoff in
+// native mode, an interrupt-disable or epoch-bump cost charge in the
+// deterministic simulator) and is charged the work.
 func (a *Allocator) reclaim(c *machine.CPU) {
 	c.Work(insnReclaim)
 	a.reclaims.Add(1)
@@ -81,10 +82,9 @@ func (a *Allocator) drainCPU(c *machine.CPU, cpu int) int {
 		pc := &a.percpu[cpu][cls]
 		var main, aux blocklist.List
 		var shards []blocklist.List
-		// The drain interferes with the victim CPU's fast path: under
-		// Params.Rseq it bumps the victim's epoch (aborting any sequence
-		// in flight there) instead of taking its IntrLock.
-		a.pcpuInterfere(c, cpu, func() {
+		// The drain interferes with the victim CPU's fast path: a
+		// sequence in flight there aborts and restarts.
+		a.regions[cpu].Interfere(c, func() {
 			main, aux = pc.takeAll(c)
 			if !tortureBug(TortureBugSkipShardFlush) {
 				shards = pc.takeShards(c)

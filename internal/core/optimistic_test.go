@@ -10,8 +10,8 @@ import (
 // TestOptimisticOffCycleIdentity pins the opt-in contract of the
 // optimistic fast paths: with Params.Rseq and Params.LockFree both off,
 // the allocator replays the pre-optimistic cycle goldens byte for byte.
-// pcpuRun/pcpuInterfere degenerate to the exact Acquire/body/Release
-// sequences they replaced, and no lock-free charge is reachable.
+// The zero per-CPU regions charge the paper's cli/sti pair, and no
+// lock-free charge is reachable.
 func TestOptimisticOffCycleIdentity(t *testing.T) {
 	assertGolden(t, "nodes=1 rseq/lockfree off",
 		shardGoldenCycles(t, 1, Params{RadixSort: true, Rseq: false, LockFree: false}),

@@ -60,11 +60,6 @@ type Params struct {
 	// false, a FIFO page list is used instead — the A3 ablation.
 	RadixSort bool
 
-	// DebugOwnership panics when two goroutines drive the same CPU
-	// handle concurrently — the misuse the per-CPU design forbids, which
-	// Native mode's internal locking would otherwise hide.
-	DebugOwnership bool
-
 	// DisableSplitFreelist replaces the per-CPU split (main/aux)
 	// freelist with a single freelist that exchanges blocks with the
 	// global layer one at a time — the A2 ablation. The paper's design
@@ -116,17 +111,19 @@ type Params struct {
 	// to a nil-receiver test on slow paths only.
 	Faults *faultpoint.Set
 
-	// Rseq replaces the per-CPU layer's interrupt-disable critical
-	// sections with restartable sequences (machine.Rseq): the fast path
-	// commits with a single store and is restarted — never blocked — when
-	// preemption or a cross-CPU drain lands inside it. The cookie path
-	// stays at 13 instructions (the begin/commit pair costs the same two
-	// instructions as cli/sti) and saves IntrCycles-CommitCycles per
-	// operation; foreign drains (DrainCPU, reclaim, stats assembly) abort
-	// in-flight sequences through Rseq.Interfere instead of taking a
-	// lock. False — the default — keeps the paper's interrupt-disable
-	// protocol, cycle-for-cycle identical to the pre-rseq allocator
-	// (TestOptimisticOffCycleIdentity).
+	// Rseq charges the per-CPU layer's critical sections (machine.Region)
+	// as restartable sequences instead of interrupt-disable pairs: the
+	// fast path commits with a single store and is restarted — never
+	// blocked — when preemption or a cross-CPU drain lands inside it. The
+	// cookie path stays at 13 instructions (the begin/commit pair costs
+	// the same two instructions as cli/sti) and saves
+	// IntrCycles-CommitCycles per operation; foreign drains (DrainCPU,
+	// reclaim, stats assembly) abort in-flight sequences by bumping the
+	// region's epoch. False — the default — keeps the paper's
+	// interrupt-disable cost model, cycle-for-cycle identical to the
+	// pre-rseq allocator (TestOptimisticOffCycleIdentity). It selects a
+	// Sim cost model only: Native mode always runs the region's
+	// claim-word protocol, whichever way Rseq is set.
 	Rseq bool
 
 	// LockFree rebuilds the global layer's per-node block stacks as

@@ -48,7 +48,9 @@ type ClassStats struct {
 	// the event spine (EvLockWait).
 	LockWaitCycles uint64
 
-	// Optimistic-concurrency activity (zero with Rseq/LockFree off).
+	// Optimistic-concurrency activity. In Sim both are zero with
+	// Rseq/LockFree off; Native mode always runs the per-CPU claim-word
+	// protocol, so RseqRestarts there counts epoch aborts either way.
 	RseqRestarts uint64 // per-CPU sequences aborted and re-run
 	CASRetries   uint64 // lock-free commits that lost their CAS and re-ran
 
@@ -347,7 +349,7 @@ type Stats struct {
 // else.
 //
 // Snapshot semantics are deliberately relaxed rather than stop-the-world:
-// each CPU's caches are read under a single IntrLock acquisition (so one
+// each CPU's caches are read under a single region interference (so one
 // CPU's counters are mutually consistent across every class and every
 // event), and each global pool and page pool is read under its own lock —
 // but the snapshot as a whole is not one atomic cut across layers. While
@@ -373,12 +375,12 @@ func (a *Allocator) Stats(c *machine.CPU) Stats {
 		}
 	}
 
-	// One IntrLock acquisition per CPU, covering every class: a CPU's
+	// One region interference per CPU, covering every class: a CPU's
 	// per-class counters are read as one consistent unit instead of the
 	// per-class lock/unlock sequence that let classes skew against each
 	// other mid-run.
 	for cpu := range a.percpu {
-		a.pcpuInterfere(c, cpu, func() {
+		a.regions[cpu].Interfere(c, func() {
 			for i := range a.classes {
 				pc := &a.percpu[cpu][i]
 				st := &out.Classes[i]

@@ -34,7 +34,7 @@ type CPU struct {
 	remoteMisses uint64
 	busWait      int64
 	spinWait     int64
-	restarts     uint64 // rseq sequences aborted and re-run (rseq.go)
+	restarts     uint64 // rseq sequences aborted and re-run (region.go)
 	casRetries   uint64 // lock-free CAS commits that had to retry
 
 	// Optional per-access trace (Sim mode), used by the Analysis-section
@@ -42,9 +42,6 @@ type CPU struct {
 	// elapsed time.
 	tracing bool
 	trace   []TraceEvent
-
-	// Exclusivity marker for ownership checking (see ownership.go).
-	excl exclusive
 }
 
 // TraceEvent records the cost of a single memory access while tracing.

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // TestSpinLockWaitHoldAccounting pins the wait-vs-hold cycle split: an
@@ -77,45 +78,44 @@ func TestSpinLockStatsNativeZeroWait(t *testing.T) {
 	}
 }
 
-// paddedIntrLock pads an IntrLock to a full 64-byte cache line, the
-// layout the allocator uses for its per-CPU lock array (core's
-// paddedIntrLock). The benchmark below measures why: adjacent unpadded
-// 8-byte mutexes in one slice share lines, and every Lock/Unlock
-// invalidates the neighbours' lines.
-type paddedIntrLock struct {
-	IntrLock
-	_ [56]byte
+// unpaddedRegions lays n regions out from a line boundary at a 32-byte
+// stride, the size of an unpadded region, so neighbouring CPUs' claim
+// words share a line. Overlapping the blank pad is safe: no code ever
+// writes it, and the region holds no pointers.
+func unpaddedRegions(n int) []*Region {
+	const line, stride = 64, 32
+	buf := make([]uint64, (line+(n-1)*stride+int(unsafe.Sizeof(Region{})))/8)
+	skip := (line - int(uintptr(unsafe.Pointer(&buf[0]))%line)) % line / 8
+	rs := make([]*Region, n)
+	for i := range rs {
+		rs[i] = (*Region)(unsafe.Pointer(&buf[skip+i*stride/8]))
+	}
+	return rs
 }
 
-// benchIntrLocks hammers one lock per worker, each worker on its own
-// CPU handle and its own lock — no shared data, so any slowdown between
-// the two layouts is pure cache-line interference. Race-detector clean.
-func benchIntrLocks(b *testing.B, lockFor func(w int) interface {
-	Acquire(*CPU)
-	Release(*CPU)
-}, workers int, m *Machine) {
+// benchRegions has each worker enter its own region on its own CPU
+// handle — no shared data, so any slowdown between two layouts is pure
+// cache-line interference. Race-detector clean.
+func benchRegions(b *testing.B, m *Machine, regions []*Region) {
 	b.ResetTimer()
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := range regions {
 		wg.Add(1)
-		go func(w int) {
+		go func(c *CPU, r *Region) {
 			defer wg.Done()
-			c := m.CPU(w)
-			l := lockFor(w)
 			for i := 0; i < b.N; i++ {
-				l.Acquire(c)
-				l.Release(c)
+				r.Run(c, func(int) {})
 			}
-		}(w)
+		}(m.CPU(w), regions[w])
 	}
 	wg.Wait()
 }
 
-// BenchmarkIntrLockFalseSharing compares adjacent unpadded IntrLocks
-// against cache-line-padded ones under per-worker (uncontended) use in
-// Native mode. Run with -race to verify the harness is race-free; run
-// without -race for meaningful timings.
-func BenchmarkIntrLockFalseSharing(b *testing.B) {
+// BenchmarkRegionFalseSharing compares regions packed at their unpadded
+// 32-byte stride against the padded one-line-each layout, under
+// per-worker (uncontended) use in Native mode. Run with -race to verify
+// the harness is race-free; run without -race for meaningful timings.
+func BenchmarkRegionFalseSharing(b *testing.B) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > 8 {
 		workers = 8
@@ -132,23 +132,14 @@ func BenchmarkIntrLockFalseSharing(b *testing.B) {
 		return New(cfg)
 	}
 	b.Run("unpadded", func(b *testing.B) {
-		m := newNative()
-		locks := make([]IntrLock, workers)
-		benchIntrLocks(b, func(w int) interface {
-			Acquire(*CPU)
-			Release(*CPU)
-		} {
-			return &locks[w]
-		}, workers, m)
+		benchRegions(b, newNative(), unpaddedRegions(workers))
 	})
 	b.Run("padded", func(b *testing.B) {
-		m := newNative()
-		locks := make([]paddedIntrLock, workers)
-		benchIntrLocks(b, func(w int) interface {
-			Acquire(*CPU)
-			Release(*CPU)
-		} {
-			return &locks[w]
-		}, workers, m)
+		padded := make([]Region, workers)
+		regions := make([]*Region, workers)
+		for i := range regions {
+			regions[i] = &padded[i]
+		}
+		benchRegions(b, newNative(), regions)
 	})
 }

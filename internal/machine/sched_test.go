@@ -152,15 +152,3 @@ func TestSharedLinePingPong(t *testing.T) {
 		t.Fatalf("ping-pong misses: %d / %d of 100", s0.Misses, s1.Misses)
 	}
 }
-
-func TestIntrLockSimCharges(t *testing.T) {
-	m := simMachine(1)
-	c := m.CPU(0)
-	var il IntrLock
-	before := c.Now()
-	il.Acquire(c)
-	il.Release(c)
-	if c.Now()-before != m.Config().IntrCycles {
-		t.Fatalf("intr cost = %d, want %d", c.Now()-before, m.Config().IntrCycles)
-	}
-}

@@ -10,12 +10,13 @@
 // are set up, handing the same buffer back out skips that work.
 //
 // The common Get/Put case is served from a per-CPU pair of magazines
-// (loaded + previous) under the CPU's interrupt lock — the same
-// synchronization, and the same 13-instruction charge, as the cookie
-// fast path it sits above. When both magazines are empty (or both full
-// on Put) the cache exchanges a magazine with a spin-locked central
-// depot; only when the depot too is exhausted does it carve a new
-// buffer from the backing allocator and run the constructor.
+// (loaded + previous) inside the CPU's critical section
+// (machine.Region) — the same synchronization, and the same
+// 13-instruction charge, as the cookie fast path it sits above. When
+// both magazines are empty (or both full on Put) the cache exchanges a
+// magazine with a spin-locked central depot; only when the depot too
+// is exhausted does it carve a new buffer from the backing allocator
+// and run the constructor.
 //
 // Each cache also colors its buffers: successive carves offset the
 // object within its backing block by increasing multiples of the cache
@@ -93,11 +94,13 @@ type Opts struct {
 	// and counted in Stats.Quarantined.
 	Harden *harden.Config
 
-	// Rseq replaces the magazine fast path's interrupt-disable pair with
-	// a restartable per-CPU sequence (machine.Rseq), mirroring core's
-	// Params.Rseq: the Get/Put common case commits with a single store
-	// and is restarted, not blocked, when a cross-CPU drain interferes.
-	// Same instruction count, IntrCycles-CommitCycles fewer cycles.
+	// Rseq charges the magazine critical section (machine.Region) as a
+	// restartable per-CPU sequence instead of an interrupt-disable pair,
+	// mirroring core's Params.Rseq: the Get/Put common case commits with
+	// a single store and is restarted, not blocked, when a cross-CPU
+	// drain interferes. Same instruction count, IntrCycles-CommitCycles
+	// fewer cycles. It selects a Sim cost model only: Native mode always
+	// runs the region's claim-word protocol.
 	Rseq bool
 }
 
@@ -129,12 +132,12 @@ type sizeBacking interface {
 
 // cpuMags is one CPU's magazine pair. loaded serves the fast path; prev
 // is its reserve, kept either full or empty so one swap always helps.
-// The trailing pad keeps native-mode locks of adjacent CPUs off shared
-// cache lines, mirroring core's paddedIntrLock.
+// reg is the pair's critical section, padded to its own line; the
+// trailing pad keeps the owner's slice headers off the line holding the
+// next CPU's claim word.
 type cpuMags struct {
-	il     machine.IntrLock
-	rs     *machine.Rseq // non-nil under Opts.Rseq; replaces il on every path
-	line   machine.Line  // synthetic metadata line for the pair
+	reg    machine.Region
+	line   machine.Line // synthetic metadata line for the pair
 	loaded []arena.Addr
 	prev   []arena.Addr
 	_      [64]byte
@@ -168,7 +171,7 @@ type Stats struct {
 	Colors    int    // distinct colors the backing slack allows
 
 	// Optimistic fast path and depot contention.
-	RseqRestarts    uint64 // magazine sequences restarted (zero with Opts.Rseq off)
+	RseqRestarts    uint64 // magazine sequences restarted (in Sim, zero with Opts.Rseq off)
 	DepotWaitCycles uint64 // cycles spent spinning on depot locks
 
 	// Hardening (all zero with Opts.Harden nil).
@@ -211,7 +214,7 @@ type Cache struct {
 	depots    []depot
 	depotFull atomic.Int32
 
-	rseqRestarts atomic.Uint64 // magazine sequences restarted (Opts.Rseq)
+	rseqRestarts atomic.Uint64 // magazine sequences restarted
 	depotWait    atomic.Uint64 // cycles spent spinning on depot locks
 
 	// obj -> backing base, for releases. Bookkeeping memory (a kernel
@@ -378,7 +381,7 @@ func New(m *machine.Machine, back allocif.Allocator, name string, size, align ui
 		k.mags[i].loaded = make([]arena.Addr, 0, k.magSize)
 		k.mags[i].prev = make([]arena.Addr, 0, k.magSize)
 		if o.Rseq {
-			k.mags[i].rs = machine.NewRseqOn(m, m.NodeOf(i))
+			k.mags[i].reg.InitRseq(m, m.NodeOf(i))
 		}
 	}
 	if eb, ok := back.(eventBacking); ok {
@@ -406,33 +409,13 @@ func (k *Cache) NumColors() int { return k.nColors }
 // ColorInc returns the coloring step (the machine's cache line size).
 func (k *Cache) ColorInc() uint64 { return k.colorInc }
 
-// magRun executes body as CPU c's magazine critical section: a
-// restartable sequence under Opts.Rseq (commit-store discipline, aborted
-// and restarted on interference), the interrupt-disable pair otherwise.
-// The restart tally is safe outside the sequence — it is this cache's
-// own atomic, not state the sequence protects.
-func (k *Cache) magRun(c *machine.CPU, pc *cpuMags, body func()) {
-	if pc.rs != nil {
-		if n := pc.rs.Run(c, func(int) { body() }); n > 0 {
-			k.rseqRestarts.Add(uint64(n))
-		}
-		return
+// noteRestarts tallies the aborted attempts a magazine Region.Run
+// reports. The tally is safe outside the section — it is this cache's
+// own atomic, not state the section protects.
+func (k *Cache) noteRestarts(n int) {
+	if n > 0 {
+		k.rseqRestarts.Add(uint64(n))
 	}
-	pc.il.Acquire(c)
-	body()
-	pc.il.Release(c)
-}
-
-// magInterfere executes body as a cross-CPU access to pc's magazines
-// (drains), aborting the owner's in-flight sequence under Opts.Rseq.
-func (k *Cache) magInterfere(c *machine.CPU, pc *cpuMags, body func()) {
-	if pc.rs != nil {
-		pc.rs.Interfere(c, body)
-		return
-	}
-	pc.il.Acquire(c)
-	body()
-	pc.il.Release(c)
 }
 
 // depotOf returns the calling CPU's node depot.
@@ -451,8 +434,8 @@ func (k *Cache) noteDepotLock(d *depot) {
 }
 
 // Get returns a constructed object. The common case pops the CPU's
-// loaded magazine under its interrupt lock (or as a restartable sequence
-// under Opts.Rseq) — no shared locks, and instruction-for-instruction
+// loaded magazine inside its critical section (charged as a restartable
+// sequence under Opts.Rseq) — no shared locks, and instruction-for-instruction
 // the cost of a cookie alloc. Misses fall through to the node's depot
 // and finally to a fresh carve (the only point the constructor runs).
 func (k *Cache) Get(c *machine.CPU) (arena.Addr, error) {
@@ -462,7 +445,7 @@ func (k *Cache) Get(c *machine.CPU) (arena.Addr, error) {
 	pc := &k.mags[c.ID()]
 	var obj arena.Addr
 	var ok bool
-	k.magRun(c, pc, func() { obj, ok = k.getFast(c, pc) })
+	k.noteRestarts(pc.reg.Run(c, func(int) { obj, ok = k.getFast(c, pc) }))
 	if ok {
 		return obj, nil
 	}
@@ -470,7 +453,7 @@ func (k *Cache) Get(c *machine.CPU) (arena.Addr, error) {
 }
 
 // getFast pops from the magazine pair. Caller is inside the magazine
-// critical section (magRun/magInterfere).
+// critical section (pc.reg).
 func (k *Cache) getFast(c *machine.CPU, pc *cpuMags) (arena.Addr, bool) {
 	c.Read(pc.line)
 	for {
@@ -528,7 +511,7 @@ func (k *Cache) getSlow(c *machine.CPU, pc *cpuMags) (arena.Addr, error) {
 	if full != nil {
 		var obj arena.Addr
 		var ok bool
-		k.magRun(c, pc, func() {
+		k.noteRestarts(pc.reg.Run(c, func(int) {
 			// A Put may have refilled the pair while the depot lock was
 			// held; prefer the magazines and return the depot's magazine.
 			if obj, ok = k.getFast(c, pc); ok {
@@ -540,7 +523,7 @@ func (k *Cache) getSlow(c *machine.CPU, pc *cpuMags) (arena.Addr, error) {
 			pc.loaded = full
 			full = spare
 			obj, _ = k.getFast(c, pc)
-		})
+		}))
 		if ok {
 			k.putDepotFull(c, full)
 		} else {
@@ -605,7 +588,7 @@ func (k *Cache) carve(c *machine.CPU) (arena.Addr, error) {
 // Put returns a constructed object to the cache. The object must be in
 // constructed state (Put callers undo their modifications, which is
 // still far cheaper than a full re-construction). The common case
-// pushes onto the loaded magazine under the CPU's interrupt lock.
+// pushes onto the loaded magazine inside the CPU's critical section.
 func (k *Cache) Put(c *machine.CPU, obj arena.Addr) {
 	if k.hd != nil && !k.hardenPut(c, obj) {
 		return // swallowed: double put, or quarantined after an overrun
@@ -618,7 +601,7 @@ func (k *Cache) Put(c *machine.CPU, obj arena.Addr) {
 	}
 	pc := &k.mags[c.ID()]
 	var ok bool
-	k.magRun(c, pc, func() { ok = k.putFast(c, pc, obj) })
+	k.noteRestarts(pc.reg.Run(c, func(int) { ok = k.putFast(c, pc, obj) }))
 	if ok {
 		return
 	}
@@ -626,7 +609,7 @@ func (k *Cache) Put(c *machine.CPU, obj arena.Addr) {
 }
 
 // putFast pushes onto the magazine pair. Caller is inside the magazine
-// critical section (magRun/magInterfere).
+// critical section (pc.reg).
 func (k *Cache) putFast(c *machine.CPU, pc *cpuMags, obj arena.Addr) bool {
 	c.Read(pc.line)
 	if len(pc.loaded) == cap(pc.loaded) {
@@ -670,7 +653,7 @@ func (k *Cache) putSlow(c *machine.CPU, pc *cpuMags, obj arena.Addr) {
 	}
 
 	var full []arena.Addr
-	k.magRun(c, pc, func() {
+	k.noteRestarts(pc.reg.Run(c, func(int) {
 		full = nil
 		if k.putFast(c, pc, obj) { // raced: room appeared
 			return
@@ -679,7 +662,7 @@ func (k *Cache) putSlow(c *machine.CPU, pc *cpuMags, obj arena.Addr) {
 		pc.prev = pc.loaded
 		pc.loaded = empty
 		k.putFast(c, pc, obj)
-	})
+	}))
 	if full == nil {
 		k.recycleEmpty(c, empty)
 		return
@@ -835,15 +818,15 @@ func (k *Cache) shrinkDepot(c *machine.CPU) int {
 	return n
 }
 
-// drainMags flushes every CPU's magazine pair. Under Opts.Rseq the swap
-// runs as an interference on the owner CPU — its in-flight sequence, if
+// drainMags flushes every CPU's magazine pair. The swap runs as an
+// interference on the owner CPU's region — its in-flight sequence, if
 // any, restarts rather than observing the half-drained pair.
 func (k *Cache) drainMags(c *machine.CPU) int {
 	var n int
 	for i := range k.mags {
 		pc := &k.mags[i]
 		var loaded, prev []arena.Addr
-		k.magInterfere(c, pc, func() {
+		pc.reg.Interfere(c, func() {
 			loaded, prev = pc.loaded, pc.prev
 			pc.loaded = make([]arena.Addr, 0, k.magSize)
 			pc.prev = make([]arena.Addr, 0, k.magSize)

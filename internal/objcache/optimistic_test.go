@@ -1,6 +1,9 @@
 package objcache_test
 
 import (
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"kmem/internal/allocif"
@@ -163,5 +166,80 @@ func TestCacheRseqRestarts(t *testing.T) {
 	k.Put(m.CPU(0), obj)
 	if got, want := k.Stats().Gets, st.Gets+1; got != want {
 		t.Errorf("gets = %d, want %d", got, want)
+	}
+}
+
+// TestCacheNativeGetPutDrain is the -race coverage for the magazine
+// region in Native mode: one goroutine per CPU churns Get/Put through
+// its magazines while a foreign goroutine keeps draining them, which
+// enters every CPU's region through Interfere.
+func TestCacheNativeGetPutDrain(t *testing.T) {
+	const workers, size, ops = 2, 96, 4000
+	cfg := machine.DefaultConfig()
+	cfg.Mode = machine.Native
+	cfg.NumCPUs = workers + 1 // the last CPU drives the drains
+	cfg.MemBytes = 16 << 20
+	m := machine.New(cfg)
+	a, err := core.New(m, core.Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := objcache.New(m, allocif.NewKMA{Allocator: a}, "test:native", size, 8,
+		patternCtor(size), nil, objcache.Opts{MagSize: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stop atomic.Bool
+	var drainer sync.WaitGroup
+	drainer.Add(1)
+	go func(c *machine.CPU) {
+		defer drainer.Done()
+		for !stop.Load() {
+			k.Drain(c)
+			runtime.Gosched()
+		}
+	}(m.CPU(workers))
+
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(c *machine.CPU) {
+			defer wg.Done()
+			var held []arena.Addr
+			for i := 0; i < ops; i++ {
+				obj, err := k.Get(c)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if off, ok := m.Mem().CheckFill(obj, size, testPattern); !ok {
+					t.Errorf("cpu %d: object %#x not constructed at offset %d", c.ID(), uint64(obj), off)
+					return
+				}
+				held = append(held, obj)
+				if len(held) > 6 {
+					k.Put(c, held[0])
+					held = held[1:]
+				}
+			}
+			for _, obj := range held {
+				k.Put(c, obj)
+			}
+		}(m.CPU(w))
+	}
+	wg.Wait()
+	stop.Store(true)
+	drainer.Wait()
+
+	k.Drain(m.CPU(workers))
+	st := k.Stats()
+	if st.Gets != workers*ops || st.Puts != st.Gets {
+		t.Errorf("gets/puts = %d/%d, want %d each", st.Gets, st.Puts, workers*ops)
+	}
+	if st.Live != 0 {
+		t.Errorf("live = %d after the final drain, want 0", st.Live)
+	}
+	if err := a.CheckConsistency(); err != nil {
+		t.Fatal(err)
 	}
 }

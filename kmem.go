@@ -235,9 +235,6 @@ type Config struct {
 	// and quarantine-and-continue degradation. Nil — the default — keeps
 	// the unhardened layout and cycle counts exactly.
 	Harden *HardenConfig
-	// DebugOwnership panics when two goroutines drive one CPU handle
-	// concurrently (debugging aid for Native mode).
-	DebugOwnership bool
 	// MachineConfig, when non-nil, overrides the whole simulated-machine
 	// configuration (cycle costs, cache shape); Mode, CPUs, MemBytes and
 	// PhysPages above are then ignored.
@@ -278,17 +275,16 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 	m := machine.New(mc)
 	a, err := core.New(m, core.Params{
-		Classes:        cfg.Classes,
-		TargetFor:      cfg.Target,
-		GblTargetFor:   cfg.GblTarget,
-		RadixSort:      true,
-		Adaptive:       cfg.Adaptive,
-		Hook:           cfg.Hook,
-		Pressure:       cfg.Pressure,
-		Wait:           cfg.Wait,
-		Faults:         cfg.Faults,
-		Harden:         cfg.Harden,
-		DebugOwnership: cfg.DebugOwnership,
+		Classes:      cfg.Classes,
+		TargetFor:    cfg.Target,
+		GblTargetFor: cfg.GblTarget,
+		RadixSort:    true,
+		Adaptive:     cfg.Adaptive,
+		Hook:         cfg.Hook,
+		Pressure:     cfg.Pressure,
+		Wait:         cfg.Wait,
+		Faults:       cfg.Faults,
+		Harden:       cfg.Harden,
 	})
 	if err != nil {
 		return nil, err
