@@ -23,8 +23,10 @@ import "kmem/internal/machine"
 // CacheShedFunc is one cache's reclaim callback. A non-aggressive call
 // asks for the cheap give-back — the cache's depot of full magazines is
 // shrunk, destructing those cold constructed buffers and freeing their
-// backing — while an aggressive call (the stop-the-world reclaim and
-// DrainAll paths) also flushes the per-CPU magazines. It returns the
+// backing; every PressureCritical reclaim step makes one, so it should
+// cost only reads when the depot is empty — while an aggressive call
+// (the stop-the-world reclaim and DrainAll paths) also flushes the
+// per-CPU magazines. It returns the
 // number of buffers released to the allocator, and that count decides
 // what follows an incremental reclaim step under PressureCritical: a
 // positive return makes the allocation that ran the step retry, while

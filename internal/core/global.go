@@ -545,6 +545,20 @@ func (g *globalPool) drainAll(c *machine.CPU) int {
 	return n
 }
 
+// holds is the read-only peek a reclaim step runs before drainAll: it
+// reads the pool's line under lk.Peek (in Sim, no test-and-set and no
+// release store) and reports whether drainAll would move anything — a
+// cached list or bucket block, or, under LockFree, a page parked on the
+// page layer's stack (checked the way drainParked checks it).
+func (g *globalPool) holds(c *machine.CPU) bool {
+	found := false
+	g.lk.Peek(c, func() {
+		c.Read(g.line)
+		found = len(g.lists) > 0 || !g.bucket.Empty()
+	})
+	return found || g.al.lockFree && len(g.pp.stk) > 0
+}
+
 // blocksHeld reports the number of blocks currently in the pool. Used by
 // stats and tests.
 func (g *globalPool) blocksHeld(c *machine.CPU) int {

@@ -129,6 +129,28 @@ func (a *Allocator) drainCPU(c *machine.CPU, cpu int) int {
 	return taken
 }
 
+// cpuHolds is the read-only peek a reclaim step runs before drainCPU.
+// Through the CPU's region (Region.Peek: no interrupt window, no epoch
+// bump) it reads each class's cache line and reports whether the cache
+// holds a block in main, aux or a remote shard, or owes the adaptive
+// controller a target requote — the only things a drain acts on. The
+// first class that does ends the look.
+func (a *Allocator) cpuHolds(c *machine.CPU, cpu int) bool {
+	found := false
+	a.regions[cpu].Peek(c, func() {
+		for cls := range a.classes {
+			pc := &a.percpu[cpu][cls]
+			ctl := a.classes[cls].ctl
+			c.Read(pc.line)
+			if pc.held() > 0 || ctl.enabled && pc.target != ctl.curTarget() {
+				found = true
+				return
+			}
+		}
+	})
+	return found
+}
+
 // DrainAll flushes every cache at every layer, leaving all free memory
 // coalesced into pages and free spans. After DrainAll on a quiescent
 // allocator with no outstanding blocks, every page is returned to the

@@ -138,6 +138,10 @@ func (a *Allocator) reclaimSteps() int {
 // parked pages pushed down by a global drain, pages decommitted, or
 // buffers a cache shed freed. Zero means the step moved nothing, so a
 // retry would see exactly what the last failed attempt saw.
+//
+// Every step peeks its target and drains only when the peek finds
+// something, so the rotation and the release counts are the same as
+// without peeks.
 func (a *Allocator) reclaimStep(c *machine.CPU) int {
 	c.Work(insnReclaimStep)
 	i := int((a.reclaimCursor.Add(1) - 1) % uint32(a.reclaimSteps()))
@@ -145,9 +149,13 @@ func (a *Allocator) reclaimStep(c *machine.CPU) int {
 	a.emit(-1, EvReclaimStep, 1)
 	var n int
 	if i < len(a.percpu) {
-		n = a.drainCPU(c, i)
+		if a.cpuHolds(c, i) {
+			n = a.drainCPU(c, i)
+		}
 	} else if i -= len(a.percpu); i < len(a.classes)*a.nodes {
-		n = a.classes[i/a.nodes].globals[i%a.nodes].drainAll(c)
+		if g := a.classes[i/a.nodes].globals[i%a.nodes]; g.holds(c) {
+			n = g.drainAll(c)
+		}
 	} else if i -= len(a.classes) * a.nodes; a.params.LazySpans && i == 0 {
 		n = int(a.vm.decommitFree(c, trimStepPages))
 	} else {

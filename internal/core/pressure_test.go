@@ -375,7 +375,10 @@ func shedHolding(a *Allocator, b arena.Addr, size uint64, report int) {
 // success, on the small-class and the large path alike. A shed that
 // frees its buffer but reports 0 is found only by the retry that always
 // follows the budget's last step; one that reports its buffer midway
-// through the budget ends the run of steps right there.
+// through the budget ends the run of steps right there. On a two-node
+// machine it strands the memory in each place a step's peek must look
+// besides main: a global pool's partial bucket, a remote-free shard,
+// and a per-CPU aux list.
 func TestCriticalFindsStrandedMemory(t *testing.T) {
 	pc := &PressureConfig{LowPages: 8, MinPages: 6}
 
@@ -446,5 +449,144 @@ func TestCriticalFindsStrandedMemory(t *testing.T) {
 			a.DrainAll(c)
 			checkOK(t, a)
 		})
+	}
+
+	// Two nodes, one CPU each. Every case exhausts memory with CPU 0's
+	// page-sized blocks, strands freed ones in one place, and has the
+	// CPU that cannot reach them by any non-reclaim path ask for a
+	// 2048-byte block: a different class, so no steal can take the
+	// stranded blocks, and one fresh page, which only a reclaim step
+	// that drains the stranded place can free. A target of 4 (2 under
+	// pressure) lets a shard hold a block without flushing it.
+	for _, tc := range []struct {
+		name   string
+		strand func(t *testing.T, a *Allocator, c0, c1 *machine.CPU, held []arena.Addr) []arena.Addr
+		placed func(a *Allocator, cls int) bool // the blocks sit in the place
+		alloc  int                              // the allocating CPU
+	}{
+		{"two-node-remote-bucket", func(_ *testing.T, a *Allocator, c0, _ *machine.CPU, held []arena.Addr) []arena.Addr {
+			// One block drained alone is an odd-sized list: it lands
+			// in node 0's bucket, not its stack of lists.
+			a.Free(c0, held[0], 4096)
+			a.DrainCPU(c0, 0)
+			return held[1:]
+		}, func(a *Allocator, cls int) bool {
+			g := a.classes[cls].globals[0]
+			return g.bucket.Len() == 1 && len(g.lists) == 0
+		}, 1},
+		{"two-node-remote-shard", func(_ *testing.T, a *Allocator, _, c1 *machine.CPU, held []arena.Addr) []arena.Addr {
+			// A node-0 block freed on node 1 stages in CPU 1's shard.
+			a.Free(c1, held[0], 4096)
+			return held[1:]
+		}, func(a *Allocator, cls int) bool {
+			return a.percpu[1][cls].remote[0].Len() == 1
+		}, 0},
+		{"two-node-aux", func(t *testing.T, a *Allocator, c0, _ *machine.CPU, held []arena.Addr) []arena.Addr {
+			// Three frees rotate a full main into aux; taking one
+			// block back empties main and leaves two blocks in aux.
+			for _, b := range held[:3] {
+				a.Free(c0, b, 4096)
+			}
+			b, err := a.Alloc(c0, 4096)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return append(held[3:], b)
+		}, func(a *Allocator, cls int) bool {
+			pc := &a.percpu[0][cls]
+			return pc.aux.Len() == 2 && pc.main.Empty()
+		}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := machine.DefaultConfig()
+			cfg.NumCPUs = 2
+			cfg.Nodes = 2
+			cfg.MemBytes = 32 << 20
+			cfg.PhysPages = 40
+			m := machine.New(cfg)
+			a, err := New(m, Params{
+				RadixSort:    true,
+				TargetFor:    func(uint32) int { return 4 },
+				GblTargetFor: func(uint32) int { return 1 },
+				Pressure:     pc,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c0, c1 := m.CPU(0), m.CPU(1)
+			if c0.Node() != 0 || c1.Node() != 1 {
+				t.Fatalf("CPU nodes %d/%d, want 0/1", c0.Node(), c1.Node())
+			}
+			// Both nodes' vmblks must exist before exhaustion: a
+			// node's first vmblk needs header pages no single freed
+			// page could supply.
+			for _, c := range []*machine.CPU{c0, c1} {
+				b, err := a.Alloc(c, 2048)
+				if err != nil {
+					t.Fatal(err)
+				}
+				a.Free(c, b, 2048)
+			}
+			held := exhaust(a, c0)
+			if a.Pressure() != PressureCritical {
+				t.Fatalf("pressure at exhaustion = %v", a.Pressure())
+			}
+			held = tc.strand(t, a, c0, c1, held)
+			if !tc.placed(a, a.classFor(4096)) {
+				t.Fatal("the freed blocks are not where the case strands them")
+			}
+			// A CPU drain parks what it takes in a global pool, which
+			// a later step pushes to the page layer; starting the
+			// rotation at the CPUs puts every pool step after them.
+			a.reclaimCursor.Store(0)
+			c := m.CPU(tc.alloc)
+			steps0 := a.ReclaimStepsDone()
+			b, err := a.Alloc(c, 2048)
+			if err != nil {
+				t.Fatalf("CPU %d: memory stranded in one place not found: %v", tc.alloc, err)
+			}
+			if a.ReclaimStepsDone() == steps0 {
+				t.Fatal("the allocation succeeded without reclaim; the case strands nothing")
+			}
+			a.Free(c, b, 2048)
+			for _, b := range held {
+				a.Free(c0, b, 4096)
+			}
+			a.DrainAll(c0)
+			checkOK(t, a)
+		})
+	}
+}
+
+// TestReclaimStepRequotesEmptyCache: a drain also requotes the cache's
+// target from the adaptive controller, so a CPU step whose peek finds
+// no blocks must still drain a cache whose target is stale — and only
+// then leave it alone.
+func TestReclaimStepRequotesEmptyCache(t *testing.T) {
+	cfg := machine.DefaultConfig()
+	cfg.NumCPUs = 2
+	cfg.MemBytes = 16 << 20
+	m := machine.New(cfg)
+	a, err := New(m, Params{RadixSort: true, Adaptive: &AdaptiveConfig{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c0 := m.CPU(0)
+	cls := a.classFor(64)
+	pc := &a.percpu[1][cls]
+	ctl := a.classes[cls].ctl
+	ctl.target.Store(int64(pc.target + 3))
+	if !a.cpuHolds(c0, 1) {
+		t.Fatal("peek missed the pending requote of an empty cache")
+	}
+	a.reclaimCursor.Store(1)
+	if n := a.reclaimStep(c0); n != 0 {
+		t.Fatalf("step on an empty cache released %d", n)
+	}
+	if got, want := pc.target, ctl.curTarget(); got != want {
+		t.Fatalf("cache target %d after the step, want the requoted %d", got, want)
+	}
+	if a.cpuHolds(c0, 1) {
+		t.Fatal("peek still finds work in an empty, requoted cache")
 	}
 }

@@ -1,0 +1,314 @@
+package core_test
+
+import (
+	"math/rand"
+	"sync"
+	"testing"
+
+	"kmem/internal/allocif"
+	"kmem/internal/arena"
+	"kmem/internal/core"
+	"kmem/internal/machine"
+	"kmem/internal/objcache"
+)
+
+// TestReclaimEmptyStepCost pins what an incremental reclaim step costs
+// when its target holds nothing, on a quiescent allocator at
+// PressureCritical with every cache empty. Each step kind — a CPU's
+// caches, a global pool, an object cache's depot — charges exactly
+// insnReclaimStep plus one read per line its peek looks at: no lock
+// acquisition, no atomic, no interrupt window, no store. And because
+// the peek only reads, the victim CPU's next fast-path op still hits
+// its cache line, where a full drain would have pulled the line away.
+func TestReclaimEmptyStepCost(t *testing.T) {
+	for _, rseq := range []bool{false, true} {
+		name := "intr"
+		if rseq {
+			name = "rseq"
+		}
+		t.Run(name, func(t *testing.T) { testReclaimEmptyStepCost(t, rseq) })
+	}
+}
+
+func testReclaimEmptyStepCost(t *testing.T, rseq bool) {
+	cfg := machine.DefaultConfig()
+	cfg.NumCPUs = 2
+	cfg.MemBytes = 16 << 20
+	cfg.PhysPages = 24
+	m := machine.New(cfg)
+	a, err := core.New(m, core.Params{
+		RadixSort:    true,
+		Rseq:         rseq,
+		TargetFor:    func(uint32) int { return 2 },
+		GblTargetFor: func(uint32) int { return 1 },
+		Pressure:     &core.PressureConfig{LowPages: 10, MinPages: 8},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := objcache.New(m, allocif.NewKMA{Allocator: a}, "test:peek", 64, 8, nil, nil, objcache.Opts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c0, victim := m.CPU(0), m.CPU(1)
+	const small = 64
+	cls := a.ClassOf(small)
+
+	// Live page-sized blocks hold the pool at PressureCritical.
+	var held []arena.Addr
+	for a.Pressure() != core.PressureCritical {
+		b, err := a.Alloc(c0, 4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, b)
+	}
+	a.DrainAll(c0)
+	// The victim takes a block and drains its own caches, so it owns
+	// its cache line for the class and holds b to free later; then
+	// CPU 0 drains every global pool through the reclaim rotation
+	// without touching the victim's lines.
+	b, err := a.Alloc(victim, small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.DrainCPU(victim, victim.ID())
+	for slot := cfg.NumCPUs; slot < cfg.NumCPUs+a.NumClasses(); slot++ {
+		a.ReclaimStepAt(c0, slot)
+	}
+	if a.Pressure() != core.PressureCritical {
+		t.Fatalf("pressure = %v after setup, want critical", a.Pressure())
+	}
+
+	// measure runs the step at slot on CPU 0 and checks its charge:
+	// the fixed step cost plus exactly the reads in want (nil: any
+	// wantReads lines), nothing else.
+	measure := func(kind string, slot int, want []machine.Line, wantReads int) {
+		t.Helper()
+		before := c0.Stats()
+		c0.StartTrace()
+		n := a.ReclaimStepAt(c0, slot)
+		trace := append([]machine.TraceEvent(nil), c0.StopTrace()...)
+		after := c0.Stats()
+		if n != 0 {
+			t.Fatalf("%s step released %d, want 0 from an empty target", kind, n)
+		}
+		if want != nil {
+			wantReads = len(want)
+		}
+		if len(trace) != wantReads {
+			t.Fatalf("%s step made %d accesses %v, want %d reads", kind, len(trace), trace, wantReads)
+		}
+		var accessCycles int64
+		for i, ev := range trace {
+			if ev.Kind != machine.ReadAccess {
+				t.Errorf("%s step access %d is a %v of line %#x, want only reads", kind, i, ev.Kind, ev.Line)
+			}
+			if want != nil && ev.Line != want[i] {
+				t.Errorf("%s step read %d is line %#x, want %#x", kind, i, ev.Line, want[i])
+			}
+			accessCycles += ev.Cycles
+		}
+		insns := uint64(core.InsnReclaimStep + wantReads)
+		if got := after.Instructions - before.Instructions; got != insns {
+			t.Errorf("%s step charged %d insns, want %d (the step plus one per read)", kind, got, insns)
+		}
+		cycles := int64(insns)*cfg.CyclesPerInsn + accessCycles
+		if got := after.Cycles - before.Cycles; got != cycles {
+			t.Errorf("%s step charged %d cycles, want %d", kind, got, cycles)
+		}
+		if got := after.Atomics - before.Atomics; got != 0 {
+			t.Errorf("%s step made %d atomic accesses, want 0 (no lock, no epoch bump)", kind, got)
+		}
+	}
+
+	var cpuLines []machine.Line
+	for i := 0; i < a.NumClasses(); i++ {
+		cpuLines = append(cpuLines, a.CacheLine(victim.ID(), i))
+	}
+	measure("cpu", victim.ID(), cpuLines, 0)
+
+	gline, locks0 := a.GlobalPool(cls, 0)
+	measure("global", cfg.NumCPUs+cls, []machine.Line{gline}, 0)
+	if _, locks := a.GlobalPool(cls, 0); locks != locks0 {
+		t.Errorf("global step moved the pool's lock stats %+v -> %+v", locks0, locks)
+	}
+
+	sheds0 := k.Stats()
+	measure("depot", a.NumReclaimSteps()-1, nil, cfg.Nodes)
+	if st := k.Stats(); st != sheds0 {
+		t.Errorf("depot step moved the cache's stats %+v -> %+v", sheds0, st)
+	}
+
+	// firstRead is the cost of the victim's first access to its cache
+	// line during a Free of b.
+	line := a.CacheLine(victim.ID(), cls)
+	firstRead := func() machine.TraceEvent {
+		t.Helper()
+		victim.StartTrace()
+		a.Free(victim, b, small)
+		for _, ev := range victim.StopTrace() {
+			if ev.Line == line {
+				return ev
+			}
+		}
+		t.Fatal("the victim's free never touched its cache line")
+		return machine.TraceEvent{}
+	}
+	if ev := firstRead(); ev.Kind != machine.ReadAccess || ev.Cycles != cfg.HitCycles {
+		t.Errorf("after the peek, the victim's first cache-line access is a %v costing %d cycles, want a %d-cycle read hit",
+			ev.Kind, ev.Cycles, cfg.HitCycles)
+	}
+	// Contrast: a full drain of the (again empty) cache takes the line,
+	// and the victim's next free misses on it.
+	if b, err = a.Alloc(victim, small); err != nil {
+		t.Fatal(err)
+	}
+	a.DrainCPU(c0, victim.ID())
+	if ev := firstRead(); ev.Cycles <= cfg.HitCycles {
+		t.Errorf("after a full drain the victim's first cache-line access cost %d cycles, want a miss", ev.Cycles)
+	}
+
+	a.DrainAll(c0)
+	for _, h := range held {
+		a.Free(c0, h, 4096)
+	}
+	a.DrainAll(c0)
+	if err := a.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestNativeReclaimPeekRace races the reclaim steps' peeks against
+// their targets' owners under the race detector. CPU 0 repeatedly
+// drives memory to exhaustion, so its failing allocations walk the
+// whole reclaim rotation at PressureCritical — peeking every CPU's
+// caches (Region.Peek), every global pool and every object-cache depot
+// (SpinLock.Peek) — while CPUs 1-3 each own their CPU and churn: local
+// allocs and frees, object-cache gets and puts, and node-0 blocks
+// handed to CPU 3 on node 1, whose frees stage in its remote shards.
+// After quiesce and DrainAll the allocator must be consistent and hold
+// only vmblk header pages.
+func TestNativeReclaimPeekRace(t *testing.T) {
+	cfg := machine.DefaultConfig()
+	cfg.Mode = machine.Native
+	cfg.NumCPUs = 4
+	cfg.Nodes = 2
+	cfg.MemBytes = 32 << 20
+	cfg.PhysPages = 96
+	m := machine.New(cfg)
+	a, err := core.New(m, core.Params{
+		RadixSort: true,
+		Pressure:  &core.PressureConfig{LowPages: 32, MinPages: 16},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := objcache.New(m, allocif.NewKMA{Allocator: a}, "test:peekrace", 192, 8, nil, nil,
+		objcache.Opts{MagSize: 4, DepotMags: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := 20000
+	if testing.Short() {
+		ops /= 10
+	}
+
+	var wg sync.WaitGroup
+	// Buffered so the sender rarely waits on CPU 3; any size is correct.
+	handoff := make(chan arena.Addr, 64)
+	churn := func(c *machine.CPU, send bool) {
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(int64(c.ID())))
+		sizes := []uint64{64, 512, 2048}
+		type blk struct {
+			addr arena.Addr
+			size uint64
+		}
+		var held []blk
+		var objs []arena.Addr
+		for i := 0; i < ops; i++ {
+			switch r := rng.Intn(8); {
+			case r < 3 && len(held) < 16:
+				size := sizes[rng.Intn(len(sizes))]
+				if b, err := a.Alloc(c, size); err == nil {
+					held = append(held, blk{b, size})
+				}
+			case r < 5 && len(held) > 0:
+				j := rng.Intn(len(held))
+				if send && held[j].size == 512 {
+					handoff <- held[j].addr
+				} else {
+					a.Free(c, held[j].addr, held[j].size)
+				}
+				held = append(held[:j], held[j+1:]...)
+			case r < 7 && len(objs) < 12:
+				if o, err := k.Get(c); err == nil {
+					objs = append(objs, o)
+				}
+			case len(objs) > 0:
+				k.Put(c, objs[len(objs)-1])
+				objs = objs[:len(objs)-1]
+			}
+		}
+		for _, b := range held {
+			a.Free(c, b.addr, b.size)
+		}
+		for _, o := range objs {
+			k.Put(c, o)
+		}
+	}
+	wg.Add(2)
+	go churn(m.CPU(1), true)
+	go churn(m.CPU(2), false)
+
+	var consumer sync.WaitGroup
+	consumer.Add(1)
+	go func(c *machine.CPU) {
+		defer consumer.Done()
+		for b := range handoff {
+			a.Free(c, b, 512)
+		}
+	}(m.CPU(3))
+
+	// CPU 0: exhaust, hold, release, repeat — every failed allocation
+	// at PressureCritical spends a full budget of peeked reclaim steps.
+	wg.Add(1)
+	go func(c *machine.CPU) {
+		defer wg.Done()
+		for round := 0; round < ops/500; round++ {
+			var held []arena.Addr
+			for {
+				b, err := a.Alloc(c, 4096)
+				if err != nil {
+					break
+				}
+				held = append(held, b)
+			}
+			for _, b := range held {
+				a.Free(c, b, 4096)
+			}
+		}
+	}(m.CPU(0))
+
+	wg.Wait()
+	close(handoff)
+	consumer.Wait()
+
+	if a.ReclaimStepsDone() == 0 {
+		t.Fatal("no reclaim step ran; the test raced nothing")
+	}
+	c0 := m.CPU(0)
+	a.DrainAll(c0)
+	if err := a.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+	if live := k.Stats().Live; live != 0 {
+		t.Fatalf("%d object-cache buffers live after DrainAll", live)
+	}
+	st := a.Stats(c0)
+	if got, want := uint64(m.Phys().Mapped()), 8*st.VM.VmblkCreates; got != want {
+		t.Fatalf("mapped = %d after quiesce, want %d (headers of %d vmblks)",
+			got, want, st.VM.VmblkCreates)
+	}
+}

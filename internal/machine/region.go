@@ -42,10 +42,12 @@ import (
 // word with a CAS, and re-checks the epoch — any interferer that got
 // in between bumped it, aborting the attempt and restarting the
 // sequence. Interfere claims the word, bumps the epoch and runs under
-// the claim. The atomics give the race detector its happens-before
-// edges. The claim word also enforces the per-CPU discipline for free:
-// an owner that finds the word held by another owner — a second
-// goroutine driving the same CPU handle — panics instead of waiting.
+// the claim. Peek claims the word the same way but leaves the epoch
+// alone, so a read-only look never restarts the owner. The atomics
+// give the race detector its happens-before edges. The claim word also
+// enforces the per-CPU discipline for free: an owner that finds the
+// word held by another owner — a second goroutine driving the same CPU
+// handle — panics instead of waiting.
 type Region struct {
 	claim atomic.Int32  // Native: claimFree, claimOwner or claimInterferer
 	rseq  bool          // Sim: charge the restartable sequence, not cli/sti
@@ -160,10 +162,33 @@ func (r *Region) Interfere(c *CPU, body func()) {
 		body()
 		return
 	}
+	r.claimForeign()
+	r.epoch.Add(1)
+	body()
+	r.claim.Store(claimFree)
+}
+
+// claimForeign takes the claim word for a foreign CPU (Native mode),
+// yielding while the owner or another foreigner holds it.
+func (r *Region) claimForeign() {
 	for !r.claim.CompareAndSwap(claimFree, claimInterferer) {
 		runtime.Gosched()
 	}
-	r.epoch.Add(1)
-	body()
+}
+
+// Peek executes fn, a read-only look at the region's per-CPU state from
+// a foreign CPU — the kernel's READ_ONCE of another CPU's count word.
+// In Sim mode it charges nothing of its own: no interrupt window, no
+// epoch bump, only the accesses fn itself charges. In Native mode it
+// holds the claim word as an interferer for fn's duration but does not
+// bump the epoch, so an owner that arrives meanwhile waits the peek out
+// and then runs without restarting. fn must not modify the state.
+func (r *Region) Peek(c *CPU, fn func()) {
+	if c.m.cfg.Mode == Sim {
+		fn()
+		return
+	}
+	r.claimForeign()
+	fn()
 	r.claim.Store(claimFree)
 }

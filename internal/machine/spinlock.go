@@ -154,6 +154,21 @@ func (l *SpinLock) Release(c *CPU) {
 	}
 }
 
+// Peek executes fn, a read-only look at state the lock protects, on
+// behalf of CPU c. In Sim mode it charges nothing of its own — no
+// test-and-set, no release store, no hold interval, no acquisition —
+// only the accesses fn itself charges, the way a kernel reads a
+// lock-protected count word with READ_ONCE before deciding whether the
+// lock is worth taking. In Native mode it holds the mutex for fn's
+// duration, so the read is race-free. fn must not modify the state.
+func (l *SpinLock) Peek(c *CPU, fn func()) {
+	if c.m.cfg.Mode != Sim {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+	}
+	fn()
+}
+
 // LastWait returns the cycles the most recent Acquire spent waiting for
 // the lock (0 for an uncontended acquire, and always 0 in Native mode).
 // The value is only meaningful while the caller still holds the lock —

@@ -757,9 +757,13 @@ func (k *Cache) releaseObj(c *machine.CPU, obj arena.Addr, runDtor bool) {
 }
 
 // shed is the allocator's reclaim callback: non-aggressive shrinks the
-// depot (cold magazines), aggressive also flushes every CPU's pair.
-// Runs with no allocator locks held.
+// depot (cold magazines) if a peek finds a full magazine there,
+// aggressive also flushes every CPU's pair. Runs with no allocator
+// locks held.
 func (k *Cache) shed(c *machine.CPU, aggressive bool) int {
+	if !aggressive && !k.depotHolds(c) {
+		return 0
+	}
 	n := k.shrinkDepot(c)
 	if aggressive {
 		n += k.drainMags(c)
@@ -816,6 +820,23 @@ func (k *Cache) shrinkDepot(c *machine.CPU) int {
 		}
 	}
 	return n
+}
+
+// depotHolds reports whether any node depot holds a full magazine: a
+// SpinLock.Peek read of each depot's line, stopping at the first hit.
+func (k *Cache) depotHolds(c *machine.CPU) bool {
+	found := false
+	for di := range k.depots {
+		d := &k.depots[di]
+		d.lk.Peek(c, func() {
+			c.Read(d.ln)
+			found = len(d.full) > 0
+		})
+		if found {
+			break
+		}
+	}
+	return found
 }
 
 // drainMags flushes every CPU's magazine pair. The swap runs as an
