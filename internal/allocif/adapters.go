@@ -104,9 +104,9 @@ func (k *CookieKMA) FreeCookie(c *machine.CPU, addr arena.Addr, ck core.Cookie) 
 // RoundedSize forwards class rounding to the core allocator.
 func (k *CookieKMA) RoundedSize(size uint64) uint64 { return k.A.RoundedSize(size) }
 
-// RegisterCacheShed forwards object-cache reclaim registration.
-func (k *CookieKMA) RegisterCacheShed(fn core.CacheShedFunc) func() {
-	return k.A.RegisterCacheShed(fn)
+// RegisterCacheShedNotify forwards object-cache reclaim registration.
+func (k *CookieKMA) RegisterCacheShedNotify(fn core.CacheShedFunc) (core.DepotNotifier, func()) {
+	return k.A.RegisterCacheShedNotify(fn)
 }
 
 // EmitCacheEvent forwards object-cache events to the event spine.

@@ -71,7 +71,7 @@ type Allocator struct {
 	reclaims atomic.Uint64
 
 	// Registered object-cache shed callbacks (cache.go). Nil until the
-	// first RegisterCacheShed, so the reclaim paths of cache-free
+	// first RegisterCacheShedNotify, so the reclaim paths of cache-free
 	// allocators stay cycle-identical to the pre-objcache code.
 	shedMu    sync.Mutex
 	shedFns   []cacheShedEntry
@@ -90,6 +90,10 @@ type Allocator struct {
 	faultsInjected      atomic.Uint64
 	pressureTransitions atomic.Uint64
 	reclaimStepsDone    atomic.Uint64
+
+	// occ is the exact occupancy summary of the non-CPU reclaim targets
+	// (occupancy.go), armed with the pressure model.
+	occ occupancy
 
 	// Corruption-hardening state (harden.go). Nil unless Params.Harden
 	// is set, so every hardening hook is one nil test when off.
@@ -239,6 +243,7 @@ func New(m *machine.Machine, params Params) (*Allocator, error) {
 	if err := a.initPressure(); err != nil {
 		return nil, err
 	}
+	a.initOccupancy()
 	return a, nil
 }
 
@@ -412,7 +417,9 @@ func (a *Allocator) allocClassOp(c *machine.CPU, cls int) (arena.Addr, error) {
 		// no-split-freelist ablation. The home node's pool is tried
 		// first (it refills from its node-local page pool); when it is
 		// dry the other nodes' pools are tried in round-robin order,
-		// taking only blocks they already cache.
+		// taking only blocks they already cache. With the occupancy
+		// summary armed, one look at it skips the victims whose bit
+		// says they cache nothing.
 		c.Work(insnRefill)
 		home := a.classes[cls].globalFor(c)
 		var lst blocklist.List
@@ -423,9 +430,14 @@ func (a *Allocator) allocClassOp(c *machine.CPU, cls int) (arena.Addr, error) {
 			lst, err = home.getList(c)
 		}
 		if lst.Empty() && a.nodes > 1 {
+			if a.occ.armed {
+				a.occ.look(c)
+			}
 			for off := 1; off < a.nodes && lst.Empty(); off++ {
-				victim := (home.node + off) % a.nodes
-				lst = a.classes[cls].globals[victim].stealList(c)
+				victim := a.classes[cls].globals[(home.node+off)%a.nodes]
+				if !a.occ.armed || a.occ.has(victim.bit()) {
+					lst = victim.stealList(c)
+				}
 			}
 		}
 		if !lst.Empty() {

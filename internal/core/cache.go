@@ -1,13 +1,17 @@
 package core
 
-import "kmem/internal/machine"
+import (
+	"sync"
+
+	"kmem/internal/machine"
+)
 
 // This file is the allocator side of the typed object-cache layer
 // (internal/objcache): caches of constructed objects sit above the
 // cookie path and hold buffers the allocator considers allocated. Two
 // hooks connect the layers without core importing objcache:
 //
-//   - RegisterCacheShed lets a cache participate in the reclaim and
+//   - RegisterCacheShedNotify lets a cache participate in the reclaim and
 //     pressure machinery: when the allocator needs memory back, it asks
 //     every registered cache to shed constructed buffers (destructing
 //     them and freeing their backing blocks) before — and in addition
@@ -39,27 +43,88 @@ type CacheShedFunc func(c *machine.CPU, aggressive bool) int
 type cacheShedEntry struct {
 	id int
 	fn CacheShedFunc
+	// slot is the cache's slot in the occupancy summary, or -1 for a
+	// cache that does not report its depots.
+	slot int
 }
 
-// RegisterCacheShed registers a cache shed callback with the reclaim and
-// pressure layers and returns a function that unregisters it. Sheds run
-// in registration order: on the stop-the-world reclaim path and DrainAll
-// (aggressive), before Trim's decommit pass (non-aggressive, so depot
-// buffers coalesce into trimmable spans), and as extra steps in the
-// incremental reclaimStep rotation under PressureCritical.
-func (a *Allocator) RegisterCacheShed(fn CacheShedFunc) func() {
+// DepotNotifier keeps a reporting cache's bits of the occupancy summary
+// exact. The cache calls it with node's depot lock held, each time that
+// depot goes from holding no full magazine to holding one (holds true)
+// and back (holds false), and at no other time.
+type DepotNotifier func(c *machine.CPU, node int, holds bool)
+
+// RegisterCacheShedNotify registers a cache shed callback with the
+// reclaim and pressure layers and returns the cache's DepotNotifier and
+// a function that unregisters it. Sheds run in registration order: on
+// the stop-the-world reclaim path and DrainAll (aggressive), before
+// Trim's decommit pass (non-aggressive, so depot buffers coalesce into
+// trimmable spans), and as extra steps in the incremental reclaimStep
+// rotation under PressureCritical.
+//
+// While the occupancy summary is armed the cache gets a slot there, and
+// a reclaim step that lands on it reads the slot's bits instead of
+// calling fn when no depot holds a full magazine. The cache must call
+// the notifier on every depot transition (see DepotNotifier), and its
+// depots must be empty when it registers. The notifier is nil when the
+// summary is disarmed or has no free slot; the cache then reports
+// nothing and its steps always call fn.
+func (a *Allocator) RegisterCacheShedNotify(fn CacheShedFunc) (DepotNotifier, func()) {
+	return a.registerShed(fn, true)
+}
+
+// registerShed registers fn, taking a summary slot when report is set
+// and the summary has one free.
+func (a *Allocator) registerShed(fn CacheShedFunc, report bool) (DepotNotifier, func()) {
+	o := &a.occ
 	a.shedMu.Lock()
 	a.shedSeq++
 	id := a.shedSeq
-	a.shedFns = append(a.shedFns, cacheShedEntry{id: id, fn: fn})
+	slot := -1
+	if report && o.armed {
+		for s, used := range o.slots {
+			if !used {
+				o.slots[s], slot = true, s
+				break
+			}
+		}
+	}
+	a.shedFns = append(a.shedFns, cacheShedEntry{id: id, fn: fn, slot: slot})
 	a.shedMu.Unlock()
-	return func() {
+	var notify DepotNotifier
+	// live and the flips it admits are guarded by mu, so a flip that
+	// passed the check finishes before unregister clears the slot. A
+	// cache can still be inside a shed (and so a notify) while another
+	// goroutine destroys it; without mu, that late flip could land on
+	// the next cache to take the slot.
+	var mu sync.Mutex
+	live := slot >= 0
+	if live {
+		notify = func(c *machine.CPU, node int, holds bool) {
+			mu.Lock()
+			if live {
+				o.flip(c, o.cacheBit(slot, node), holds)
+			}
+			mu.Unlock()
+		}
+	}
+	return notify, func() {
+		mu.Lock()
+		live = false
+		mu.Unlock()
 		a.shedMu.Lock()
 		for i := range a.shedFns {
 			if a.shedFns[i].id == id {
 				a.shedFns = append(a.shedFns[:i], a.shedFns[i+1:]...)
 				break
 			}
+		}
+		if slot >= 0 {
+			// The next cache to take the slot starts with empty depots.
+			for node := 0; node < o.nodes; node++ {
+				o.set(o.cacheBit(slot, node), false)
+			}
+			o.slots[slot] = false
 		}
 		a.shedMu.Unlock()
 	}
@@ -101,14 +166,18 @@ func (a *Allocator) numShedders() int {
 // churn, so no amount of unregister/re-register reshuffling between
 // steps can starve a cache that stays registered — the position-modulo
 // selection this replaces could land on the same slot every step while a
-// neighbor was never visited. Returns the buffers the shed released.
+// neighbor was never visited. The step charges insnReclaimStep, except
+// that a reporting cache whose summary bits show every depot empty
+// costs one look at the summary instead. Returns the buffers the shed
+// released.
 func (a *Allocator) shedOne(c *machine.CPU) int {
 	a.shedMu.Lock()
-	var fn CacheShedFunc
-	for fn == nil {
+	var e cacheShedEntry
+	for e.fn == nil {
 		if len(a.shedQueue) == 0 {
 			if len(a.shedFns) == 0 {
 				a.shedMu.Unlock()
+				c.Work(insnReclaimStep)
 				return 0
 			}
 			for _, e := range a.shedFns {
@@ -117,15 +186,21 @@ func (a *Allocator) shedOne(c *machine.CPU) int {
 		}
 		id := a.shedQueue[0]
 		a.shedQueue = a.shedQueue[1:]
-		for _, e := range a.shedFns {
-			if e.id == id {
-				fn = e.fn
+		for _, f := range a.shedFns {
+			if f.id == id {
+				e = f
 				break
 			}
 		}
 	}
 	a.shedMu.Unlock()
-	return fn(c, false)
+	if e.slot >= 0 && !a.occ.anyOf(c, a.occ.cacheBit(e.slot, 0), a.occ.nodes) {
+		// The cache reports every depot empty: the shed would only
+		// peek them and release nothing.
+		return 0
+	}
+	c.Work(insnReclaimStep)
+	return e.fn(c, false)
 }
 
 // EmitCacheEvent pushes an object-cache event (EvCtorRun, EvCacheShed)

@@ -21,7 +21,9 @@ import (
 //     eager mode, and in lazy mode are resident, scrubbed (with the
 //     scrub fill verified byte-for-byte), or never committed;
 //   - physical-page accounting agrees with the flags: resident pages
-//     sum to physmem's Mapped, vmblk spans to its Reserved.
+//     sum to physmem's Mapped, vmblk spans to its Reserved, and the
+//     resident free-span pages to the carve peek's count;
+//   - the occupancy summary is exact (checkOccupancy).
 //
 // CheckConsistency must only be called on a quiescent allocator (no
 // concurrent operations); it takes no locks and charges no simulated
@@ -37,7 +39,7 @@ func (a *Allocator) CheckConsistency() error {
 		return nil
 	}
 
-	var residentPages, reservedPages int64
+	var residentPages, reservedPages, freeResident int64
 	splitByClass := make(map[int32]int, 64) // page -> class for cache validation
 
 	for _, vb := range a.vm.dope {
@@ -88,6 +90,7 @@ func (a *Allocator) CheckConsistency() error {
 							return fmt.Errorf("kmem: eager free page %d still flagged resident", i+j)
 						}
 						residentPages++
+						freeResident++
 					case pdfScrubbed:
 						if !a.params.LazySpans {
 							return fmt.Errorf("kmem: eager free page %d flagged scrubbed", i+j)
@@ -286,7 +289,11 @@ func (a *Allocator) CheckConsistency() error {
 		return fmt.Errorf("kmem: physmem reports %d reserved pages, vmblk spans total %d",
 			got, reservedPages)
 	}
-	return nil
+	if a.vm.freeResident != freeResident {
+		return fmt.Errorf("kmem: vmblk layer counts %d resident free-span pages, spans hold %d",
+			a.vm.freeResident, freeResident)
+	}
+	return a.checkOccupancy()
 }
 
 // HomeOf returns the NUMA home node of the page holding address b (0 on

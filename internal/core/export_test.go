@@ -9,6 +9,13 @@ import "kmem/internal/machine"
 // InsnReclaimStep is the fixed instruction charge of one reclaim step.
 const InsnReclaimStep = insnReclaimStep
 
+// InsnSummaryTest is the instruction charge of one look at the
+// occupancy summary, beside the read of its line.
+const InsnSummaryTest = insnSummaryTest
+
+// SummaryLine is the occupancy summary's line.
+func (a *Allocator) SummaryLine() machine.Line { return a.occ.line }
+
 // ReclaimStepAt runs one incremental reclaim step with the rotation
 // cursor at slot i and returns what the step released.
 func (a *Allocator) ReclaimStepAt(c *machine.CPU, i int) int {
@@ -30,4 +37,45 @@ func (a *Allocator) ClassOf(size uint64) int { return a.classFor(size) }
 func (a *Allocator) GlobalPool(cls, node int) (machine.Line, machine.LockStats) {
 	g := a.classes[cls].globals[node]
 	return g.line, g.lk.Stats()
+}
+
+// AuditOccupancy is CheckConsistency's audit of the occupancy summary
+// alone: every global pool's bit against its contents.
+func (a *Allocator) AuditOccupancy() error { return a.checkOccupancy() }
+
+// AnyPoolBit reports whether any global pool's summary bit is set.
+func (a *Allocator) AnyPoolBit() bool {
+	for b := 0; b < a.occ.cacheBase; b++ {
+		if a.occ.has(b) {
+			return true
+		}
+	}
+	return false
+}
+
+// CacheOccupancy reports, uncharged, the summary bits of every
+// registered cache shed in registration order: one entry per node, or
+// nil for a cache that does not report.
+func (a *Allocator) CacheOccupancy() [][]bool {
+	o := &a.occ
+	a.shedMu.Lock()
+	defer a.shedMu.Unlock()
+	out := make([][]bool, len(a.shedFns))
+	for i, e := range a.shedFns {
+		if e.slot < 0 {
+			continue
+		}
+		out[i] = make([]bool, o.nodes)
+		for node := range out[i] {
+			out[i][node] = o.has(o.cacheBit(e.slot, node))
+		}
+	}
+	return out
+}
+
+// RegisterCacheShed registers a shed callback for a cache that does not
+// report its depots, so its reclaim steps always call fn.
+func (a *Allocator) RegisterCacheShed(fn CacheShedFunc) func() {
+	_, unregister := a.registerShed(fn, false)
+	return unregister
 }

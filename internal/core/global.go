@@ -118,6 +118,7 @@ func (g *globalPool) getList(c *machine.CPU) (blocklist.List, error) {
 		// Low-memory operation: hand out the (odd-sized) bucket list.
 		out = g.bucket.Take()
 	}
+	g.noteOcc(c)
 	c.Write(g.line)
 	g.lk.Release(c)
 	g.al.emit(g.cls, EvGlobalGet, 1)
@@ -331,6 +332,7 @@ func (g *globalPool) getOne(c *machine.CPU) (blocklist.List, error) {
 			g.lists = g.lists[:n-1]
 		}
 	}
+	g.noteOcc(c)
 	c.Write(g.line)
 	g.lk.Release(c)
 	g.al.emit(g.cls, EvGlobalGet, 1)
@@ -403,6 +405,7 @@ func (g *globalPool) putList(c *machine.CPU, l blocklist.List) {
 		spill = append(spill, g.lists[len(g.lists)-n:]...)
 		g.lists = g.lists[:len(g.lists)-n]
 	}
+	g.noteOcc(c)
 	c.Write(g.line)
 	g.lk.Release(c)
 	g.al.emit(g.cls, EvGlobalPut, 1)
@@ -506,6 +509,7 @@ func (g *globalPool) stealList(c *machine.CPU) blocklist.List {
 		g.ev[EvNodeSteal] += uint64(stolen)
 		g.ev[EvInterconnect]++
 	}
+	g.noteOcc(c)
 	c.Write(g.line)
 	g.lk.Release(c)
 	if stolen > 0 {
@@ -525,6 +529,7 @@ func (g *globalPool) drainAll(c *machine.CPU) int {
 	all := g.lists
 	g.lists = nil
 	bucket := g.bucket.Take()
+	g.noteOcc(c)
 	c.Write(g.line)
 	g.lk.Release(c)
 
@@ -545,16 +550,17 @@ func (g *globalPool) drainAll(c *machine.CPU) int {
 	return n
 }
 
-// holds is the read-only peek a reclaim step runs before drainAll: it
-// reads the pool's line under lk.Peek (in Sim, no test-and-set and no
-// release store) and reports whether drainAll would move anything — a
-// cached list or bucket block, or, under LockFree, a page parked on the
-// page layer's stack (checked the way drainParked checks it).
+// holds is the read-only peek a reclaim step runs before drainAll when
+// the occupancy summary is disarmed (LockFree): it reads the pool's
+// line under lk.Peek (in Sim, no test-and-set and no release store) and
+// reports whether drainAll would move anything — a cached list or
+// bucket block, or a page parked on the page layer's stack (checked the
+// way drainParked checks it).
 func (g *globalPool) holds(c *machine.CPU) bool {
 	found := false
 	g.lk.Peek(c, func() {
 		c.Read(g.line)
-		found = len(g.lists) > 0 || !g.bucket.Empty()
+		found = g.cached()
 	})
 	return found || g.al.lockFree && len(g.pp.stk) > 0
 }

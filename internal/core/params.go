@@ -380,4 +380,7 @@ const (
 	// global pool) — the per-caller charge that replaces insnReclaim's
 	// stop-the-world bill under PressureCritical.
 	insnReclaimStep = 40
+	// Masking and testing one target's bits in a read of the occupancy
+	// summary (occupancy.go).
+	insnSummaryTest = 2
 )

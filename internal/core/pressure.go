@@ -139,24 +139,32 @@ func (a *Allocator) reclaimSteps() int {
 // buffers a cache shed freed. Zero means the step moved nothing, so a
 // retry would see exactly what the last failed attempt saw.
 //
-// Every step peeks its target and drains only when the peek finds
-// something, so the rotation and the release counts are the same as
-// without peeks.
+// Every step looks at its target first and drains only when the look
+// finds something, so the rotation and the release counts are the same
+// as without looks. A CPU step peeks the CPU's lines. A global-pool or
+// depot step reads its target's bits in the occupancy summary when that
+// is armed; a clear bit makes the whole step one look, without
+// insnReclaimStep.
 func (a *Allocator) reclaimStep(c *machine.CPU) int {
-	c.Work(insnReclaimStep)
 	i := int((a.reclaimCursor.Add(1) - 1) % uint32(a.reclaimSteps()))
 	a.reclaimStepsDone.Add(1)
 	a.emit(-1, EvReclaimStep, 1)
 	var n int
 	if i < len(a.percpu) {
+		c.Work(insnReclaimStep)
 		if a.cpuHolds(c, i) {
 			n = a.drainCPU(c, i)
 		}
 	} else if i -= len(a.percpu); i < len(a.classes)*a.nodes {
-		if g := a.classes[i/a.nodes].globals[i%a.nodes]; g.holds(c) {
-			n = g.drainAll(c)
+		g := a.classes[i/a.nodes].globals[i%a.nodes]
+		if !a.occ.armed || a.occ.anyOf(c, g.bit(), 1) {
+			c.Work(insnReclaimStep)
+			if a.occ.armed || g.holds(c) {
+				n = g.drainAll(c)
+			}
 		}
 	} else if i -= len(a.classes) * a.nodes; a.params.LazySpans && i == 0 {
+		c.Work(insnReclaimStep)
 		n = int(a.vm.decommitFree(c, trimStepPages))
 	} else {
 		// One object cache's depot shrink — the incremental form of the

@@ -590,3 +590,67 @@ func TestReclaimStepRequotesEmptyCache(t *testing.T) {
 		t.Fatal("peek still finds work in an empty, requoted cache")
 	}
 }
+
+// TestLockFreeStealUnderPressure: the Treiber paths move a pool's lists
+// without its lock, so under LockFree the occupancy summary is disarmed
+// and steals and reclaim steps look at the pools themselves. A
+// target-sized list pushed on node 0's stack must be stolen by node 1's
+// CPU at PressureCritical, before any reclaim step runs.
+func TestLockFreeStealUnderPressure(t *testing.T) {
+	cfg := machine.DefaultConfig()
+	cfg.NumCPUs = 2
+	cfg.Nodes = 2
+	cfg.MemBytes = 32 << 20
+	cfg.PhysPages = 40
+	m := machine.New(cfg)
+	a, err := New(m, Params{
+		RadixSort:    true,
+		LockFree:     true,
+		TargetFor:    func(uint32) int { return 4 },
+		GblTargetFor: func(uint32) int { return 1 },
+		Pressure:     &PressureConfig{LowPages: 8, MinPages: 6},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.occ.armed {
+		t.Fatal("the occupancy summary is armed under LockFree")
+	}
+	c0, c1 := m.CPU(0), m.CPU(1)
+	for _, c := range []*machine.CPU{c0, c1} {
+		b, err := a.Alloc(c, 2048)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.Free(c, b, 2048)
+	}
+	held := exhaust(a, c0)
+	if a.Pressure() != PressureCritical {
+		t.Fatalf("pressure at exhaustion = %v", a.Pressure())
+	}
+	// Four frees spill two-block lists into node 0's bucket, which
+	// regroups them into one target-sized list pushed on the stack.
+	for _, b := range held[:4] {
+		a.Free(c0, b, 4096)
+	}
+	held = held[4:]
+	a.DrainCPU(c0, 0)
+	cls := a.classFor(4096)
+	if g := a.classes[cls].globals[0]; len(g.lists) != 1 || !g.bucket.Empty() {
+		t.Fatalf("node 0 pool holds %d lists and %d bucket blocks, want one list", len(g.lists), g.bucket.Len())
+	}
+	steps0 := a.ReclaimStepsDone()
+	b, err := a.Alloc(c1, 4096)
+	if err != nil {
+		t.Fatalf("node 1 did not steal node 0's list: %v", err)
+	}
+	if a.ReclaimStepsDone() != steps0 {
+		t.Error("the list was found by reclaim, not by the steal")
+	}
+	a.Free(c1, b, 4096)
+	for _, b := range held {
+		a.Free(c0, b, 4096)
+	}
+	a.DrainAll(c0)
+	checkOK(t, a)
+}

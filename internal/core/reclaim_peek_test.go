@@ -14,23 +14,30 @@ import (
 
 // TestReclaimEmptyStepCost pins what an incremental reclaim step costs
 // when its target holds nothing, on a quiescent allocator at
-// PressureCritical with every cache empty. Each step kind — a CPU's
-// caches, a global pool, an object cache's depot — charges exactly
-// insnReclaimStep plus one read per line its peek looks at: no lock
-// acquisition, no atomic, no interrupt window, no store. And because
-// the peek only reads, the victim CPU's next fast-path op still hits
-// its cache line, where a full drain would have pulled the line away.
+// PressureCritical with every cache empty. A CPU step charges exactly
+// insnReclaimStep plus one read per class line its peek looks at. With
+// the occupancy summary armed, a global-pool or depot step finds its
+// target's bits clear, so it charges only insnSummaryTest and one read
+// of the summary line. Under LockFree the summary is disarmed and those
+// steps peek instead: insnReclaimStep plus one read of the pool's line,
+// or of each depot's line. No step takes a lock, makes an atomic,
+// opens an interrupt window or stores. And because the peek only reads,
+// the victim CPU's next fast-path op still hits its cache line, where a
+// full drain would have pulled the line away.
 func TestReclaimEmptyStepCost(t *testing.T) {
-	for _, rseq := range []bool{false, true} {
-		name := "intr"
-		if rseq {
-			name = "rseq"
-		}
-		t.Run(name, func(t *testing.T) { testReclaimEmptyStepCost(t, rseq) })
+	for _, tc := range []struct {
+		name           string
+		rseq, lockFree bool
+	}{
+		{"intr", false, false},
+		{"rseq", true, false},
+		{"lockfree", false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testReclaimEmptyStepCost(t, tc.rseq, tc.lockFree) })
 	}
 }
 
-func testReclaimEmptyStepCost(t *testing.T, rseq bool) {
+func testReclaimEmptyStepCost(t *testing.T, rseq, lockFree bool) {
 	cfg := machine.DefaultConfig()
 	cfg.NumCPUs = 2
 	cfg.MemBytes = 16 << 20
@@ -39,6 +46,7 @@ func testReclaimEmptyStepCost(t *testing.T, rseq bool) {
 	a, err := core.New(m, core.Params{
 		RadixSort:    true,
 		Rseq:         rseq,
+		LockFree:     lockFree,
 		TargetFor:    func(uint32) int { return 2 },
 		GblTargetFor: func(uint32) int { return 1 },
 		Pressure:     &core.PressureConfig{LowPages: 10, MinPages: 8},
@@ -81,9 +89,9 @@ func testReclaimEmptyStepCost(t *testing.T, rseq bool) {
 	}
 
 	// measure runs the step at slot on CPU 0 and checks its charge:
-	// the fixed step cost plus exactly the reads in want (nil: any
-	// wantReads lines), nothing else.
-	measure := func(kind string, slot int, want []machine.Line, wantReads int) {
+	// insns instructions besides its reads, and exactly the reads in
+	// want (nil: any wantReads lines), nothing else.
+	measure := func(kind string, slot int, want []machine.Line, wantReads, insns int) {
 		t.Helper()
 		before := c0.Stats()
 		c0.StartTrace()
@@ -109,11 +117,11 @@ func testReclaimEmptyStepCost(t *testing.T, rseq bool) {
 			}
 			accessCycles += ev.Cycles
 		}
-		insns := uint64(core.InsnReclaimStep + wantReads)
-		if got := after.Instructions - before.Instructions; got != insns {
-			t.Errorf("%s step charged %d insns, want %d (the step plus one per read)", kind, got, insns)
+		total := uint64(insns + wantReads)
+		if got := after.Instructions - before.Instructions; got != total {
+			t.Errorf("%s step charged %d insns, want %d (%d plus one per read)", kind, got, total, insns)
 		}
-		cycles := int64(insns)*cfg.CyclesPerInsn + accessCycles
+		cycles := int64(total)*cfg.CyclesPerInsn + accessCycles
 		if got := after.Cycles - before.Cycles; got != cycles {
 			t.Errorf("%s step charged %d cycles, want %d", kind, got, cycles)
 		}
@@ -126,16 +134,25 @@ func testReclaimEmptyStepCost(t *testing.T, rseq bool) {
 	for i := 0; i < a.NumClasses(); i++ {
 		cpuLines = append(cpuLines, a.CacheLine(victim.ID(), i))
 	}
-	measure("cpu", victim.ID(), cpuLines, 0)
+	measure("cpu", victim.ID(), cpuLines, 0, core.InsnReclaimStep)
 
 	gline, locks0 := a.GlobalPool(cls, 0)
-	measure("global", cfg.NumCPUs+cls, []machine.Line{gline}, 0)
+	summary := []machine.Line{a.SummaryLine()}
+	if lockFree {
+		measure("global", cfg.NumCPUs+cls, []machine.Line{gline}, 0, core.InsnReclaimStep)
+	} else {
+		measure("global", cfg.NumCPUs+cls, summary, 0, core.InsnSummaryTest)
+	}
 	if _, locks := a.GlobalPool(cls, 0); locks != locks0 {
 		t.Errorf("global step moved the pool's lock stats %+v -> %+v", locks0, locks)
 	}
 
 	sheds0 := k.Stats()
-	measure("depot", a.NumReclaimSteps()-1, nil, cfg.Nodes)
+	if lockFree {
+		measure("depot", a.NumReclaimSteps()-1, nil, cfg.Nodes, core.InsnReclaimStep)
+	} else {
+		measure("depot", a.NumReclaimSteps()-1, summary, 0, core.InsnSummaryTest)
+	}
 	if st := k.Stats(); st != sheds0 {
 		t.Errorf("depot step moved the cache's stats %+v -> %+v", sheds0, st)
 	}
@@ -179,16 +196,12 @@ func testReclaimEmptyStepCost(t *testing.T, rseq bool) {
 	}
 }
 
-// TestNativeReclaimPeekRace races the reclaim steps' peeks against
-// their targets' owners under the race detector. CPU 0 repeatedly
-// drives memory to exhaustion, so its failing allocations walk the
-// whole reclaim rotation at PressureCritical — peeking every CPU's
-// caches (Region.Peek), every global pool and every object-cache depot
-// (SpinLock.Peek) — while CPUs 1-3 each own their CPU and churn: local
-// allocs and frees, object-cache gets and puts, and node-0 blocks
-// handed to CPU 3 on node 1, whose frees stage in its remote shards.
-// After quiesce and DrainAll the allocator must be consistent and hold
-// only vmblk header pages.
+// TestNativeReclaimPeekRace races the reclaim steps' looks against
+// their targets' owners under the race detector (raceReclaim): every
+// CPU step peeks a CPU's caches (Region.Peek) and every pool or depot
+// step reads the occupancy summary, a depot step whose bit is set also
+// peeking the depots (SpinLock.Peek). After quiesce and DrainAll the
+// allocator must be consistent and hold only vmblk header pages.
 func TestNativeReclaimPeekRace(t *testing.T) {
 	cfg := machine.DefaultConfig()
 	cfg.Mode = machine.Native
@@ -209,11 +222,36 @@ func TestNativeReclaimPeekRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	raceReclaim(t, m, a, k, 4096)
+
+	c0 := m.CPU(0)
+	a.DrainAll(c0)
+	if err := a.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+	if live := k.Stats().Live; live != 0 {
+		t.Fatalf("%d object-cache buffers live after DrainAll", live)
+	}
+	st := a.Stats(c0)
+	if got, want := uint64(m.Phys().Mapped()), 8*st.VM.VmblkCreates; got != want {
+		t.Fatalf("mapped = %d after quiesce, want %d (headers of %d vmblks)",
+			got, want, st.VM.VmblkCreates)
+	}
+}
+
+// raceReclaim runs the Native reclaim race on a 4-CPU, 2-node machine
+// and returns at quiescence. CPU 0 repeatedly drives memory to
+// exhaustion with size-byte blocks, so its failing allocations steal
+// from the other node and walk the whole reclaim rotation at
+// PressureCritical, while CPUs 1-3 each own their CPU and churn: local
+// allocs and frees, gets and puts on cache k, and node-0 blocks handed
+// to CPU 3 on node 1, whose frees stage in its remote shards.
+func raceReclaim(t *testing.T, m *machine.Machine, a *core.Allocator, k *objcache.Cache, size uint64) {
+	t.Helper()
 	ops := 20000
 	if testing.Short() {
 		ops /= 10
 	}
-
 	var wg sync.WaitGroup
 	// Buffered so the sender rarely waits on CPU 3; any size is correct.
 	handoff := make(chan arena.Addr, 64)
@@ -272,21 +310,21 @@ func TestNativeReclaimPeekRace(t *testing.T) {
 	}(m.CPU(3))
 
 	// CPU 0: exhaust, hold, release, repeat — every failed allocation
-	// at PressureCritical spends a full budget of peeked reclaim steps.
+	// at PressureCritical spends a full budget of reclaim steps.
 	wg.Add(1)
 	go func(c *machine.CPU) {
 		defer wg.Done()
 		for round := 0; round < ops/500; round++ {
 			var held []arena.Addr
 			for {
-				b, err := a.Alloc(c, 4096)
+				b, err := a.Alloc(c, size)
 				if err != nil {
 					break
 				}
 				held = append(held, b)
 			}
 			for _, b := range held {
-				a.Free(c, b, 4096)
+				a.Free(c, b, size)
 			}
 		}
 	}(m.CPU(0))
@@ -297,18 +335,5 @@ func TestNativeReclaimPeekRace(t *testing.T) {
 
 	if a.ReclaimStepsDone() == 0 {
 		t.Fatal("no reclaim step ran; the test raced nothing")
-	}
-	c0 := m.CPU(0)
-	a.DrainAll(c0)
-	if err := a.CheckConsistency(); err != nil {
-		t.Fatal(err)
-	}
-	if live := k.Stats().Live; live != 0 {
-		t.Fatalf("%d object-cache buffers live after DrainAll", live)
-	}
-	st := a.Stats(c0)
-	if got, want := uint64(m.Phys().Mapped()), 8*st.VM.VmblkCreates; got != want {
-		t.Fatalf("mapped = %d after quiesce, want %d (headers of %d vmblks)",
-			got, want, st.VM.VmblkCreates)
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"kmem/internal/arena"
 	"kmem/internal/machine"
+	"kmem/internal/physmem"
 )
 
 // ErrNoMemory is returned when an allocation cannot be satisfied even
@@ -160,6 +161,11 @@ type vmblkLayer struct {
 	// path, maintained under lk — the large-block contribution to the
 	// fragmentation triple's live bytes.
 	largeLivePages int64
+
+	// freeResident counts free-span pages that still hold frames,
+	// maintained under lk. Always 0 in eager mode; with lazy spans it is
+	// what the carve peek (refused) asks before it refuses a request.
+	freeResident int64
 
 	// ev tallies this layer's slice of the event spine (EvSpanAlloc,
 	// EvSpanFree, EvVmblkCreate, EvLargeAlloc, EvLargeFree, EvPagesMap,
@@ -477,6 +483,7 @@ func (v *vmblkLayer) commitSpan(c *machine.CPU, pg, n int32) error {
 		}
 	}
 	if need == 0 {
+		v.freeResident -= int64(n)
 		return nil
 	}
 	if err := v.commitPhys(c, need, EvPagesCommit); err != nil {
@@ -503,6 +510,7 @@ func (v *vmblkLayer) commitSpan(c *machine.CPU, pg, n int32) error {
 		v.al.mem.Fill(addr, pageBytes, 0)
 		pd.flags = pdfResident
 	}
+	v.freeResident -= int64(n) - need
 	return nil
 }
 
@@ -546,6 +554,7 @@ func (v *vmblkLayer) decommitFreeLocked(c *machine.CPU, want int64) int64 {
 		}
 	}
 	if done > 0 {
+		v.freeResident -= done
 		v.releasePhys(c, done, EvPagesDecommit)
 	}
 	return done
@@ -570,6 +579,9 @@ func (v *vmblkLayer) decommitFree(c *machine.CPU, want int64) int64 {
 // before the layer lock drops: freePagesLocked reads a neighbouring
 // page's state under lk to coalesce, so the stamp must not race it.
 func (v *vmblkLayer) allocSplitPage(c *machine.CPU, node, cls int) (int32, error) {
+	if v.refused(c, 1, node) {
+		return -1, physmem.ErrNoPages
+	}
 	v.lk.Acquire(c)
 	v.noteLockWait()
 	defer v.lk.Release(c)
@@ -581,6 +593,41 @@ func (v *vmblkLayer) allocSplitPage(c *machine.CPU, node, cls int) (int32, error
 	pd.state = pdSplit
 	pd.class = int8(cls)
 	return pg, nil
+}
+
+// refused is the carve peek. At PressureCritical, before a request for
+// n pages on node takes the layer lock, it reads the lock's line under
+// lk.Peek (in Sim that read is the whole charge) and reports whether
+// allocPagesLocked is certain to be refused for frames, leaving every
+// span exactly where it is. That holds when physmem's free count cannot
+// cover n, no free span still holds frames (always so in eager mode),
+// and findSpan would return the head of a bucket: then no vmblk is
+// carved, the commit fails, and a lazy span put back by the failure
+// returns to the head it came from. A refused request returns the
+// error a refused commit returns, without the lock, the span search,
+// the physmem call or the EvMapFail. Any other case takes the locked
+// path and gets today's answer, ErrNoVA included.
+func (v *vmblkLayer) refused(c *machine.CPU, n int32, node int) bool {
+	if v.al.pressureLevel() != PressureCritical || n > maxSpanBucket {
+		return false
+	}
+	refused := false
+	v.lk.Peek(c, func() {
+		c.Read(v.lk.Line())
+		if v.freeResident > 0 || v.al.m.Phys().Available() >= int64(n) {
+			return
+		}
+		// Every span in the final bucket is at least maxSpanBucket >= n
+		// pages long, so findSpan returns the first non-empty bucket's
+		// head.
+		for b := spanBucket(n); b <= maxSpanBucket; b++ {
+			if !v.spans[node][b].empty() {
+				refused = true
+				return
+			}
+		}
+	})
+	return refused
 }
 
 // allocPagesLocked allocates a span of n virtual pages homed on the
@@ -659,7 +706,9 @@ func (v *vmblkLayer) freePagesLocked(c *machine.CPU, pg, n int32) {
 	if vb == nil {
 		panic(fmt.Sprintf("kmem: freePages of unmanaged page %d", pg))
 	}
-	if !v.lazy {
+	if v.lazy {
+		v.freeResident += int64(n)
+	} else {
 		v.releasePhys(c, int64(n), EvPagesUnmap)
 		for i := pg; i < pg+n; i++ {
 			v.pdOf(i).flags = 0
@@ -709,6 +758,9 @@ func (v *vmblkLayer) pagesFor(size uint64) int32 {
 func (v *vmblkLayer) allocLarge(c *machine.CPU, size uint64) (arena.Addr, error) {
 	c.Work(insnLargeOp)
 	n := v.pagesFor(size)
+	if v.refused(c, n, c.Node()) {
+		return arena.NilAddr, physmem.ErrNoPages
+	}
 	v.lk.Acquire(c)
 	v.noteLockWait()
 	defer v.lk.Release(c)

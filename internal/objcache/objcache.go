@@ -114,9 +114,11 @@ type cookieBacking interface {
 }
 
 // shedBacking lets the cache register with the allocator's reclaim and
-// pressure machinery.
+// pressure machinery. The cache also reports its depots' empty <->
+// non-empty transitions, so that while the allocator keeps an occupancy
+// summary an empty depot's reclaim step is skipped without a call.
 type shedBacking interface {
-	RegisterCacheShed(fn core.CacheShedFunc) func()
+	RegisterCacheShedNotify(fn core.CacheShedFunc) (core.DepotNotifier, func())
 }
 
 // eventBacking routes cache events through the allocator's event spine.
@@ -235,6 +237,10 @@ type Cache struct {
 
 	unregister func()
 	destroyed  atomic.Bool
+
+	// notify reports depot transitions to the allocator's occupancy
+	// summary (nil when the backing keeps none).
+	notify core.DepotNotifier
 
 	// Corruption hardening (nil with Opts.Harden nil).
 	hd *cacheHarden
@@ -388,7 +394,7 @@ func New(m *machine.Machine, back allocif.Allocator, name string, size, align ui
 		k.events = eb
 	}
 	if sb, ok := back.(shedBacking); ok {
-		k.unregister = sb.RegisterCacheShed(k.shed)
+		k.notify, k.unregister = sb.RegisterCacheShedNotify(k.shed)
 	}
 	return k, nil
 }
@@ -503,6 +509,7 @@ func (k *Cache) getSlow(c *machine.CPU, pc *cpuMags) (arena.Addr, error) {
 		full = d.full[n-1]
 		d.full = d.full[:n-1]
 		k.depotFull.Add(-1)
+		k.reportDepot(c, c.Node(), true)
 		c.Write(d.ln)
 	}
 	c.Work(insnDepot)
@@ -679,6 +686,7 @@ func (k *Cache) putDepotFull(c *machine.CPU, full []arena.Addr) {
 	d.lk.Acquire(c)
 	k.noteDepotLock(d)
 	c.Read(d.ln)
+	had := len(d.full) > 0
 	d.full = append(d.full, full)
 	if len(d.full) > k.depotCap {
 		victim = d.full[0]
@@ -686,12 +694,22 @@ func (k *Cache) putDepotFull(c *machine.CPU, full []arena.Addr) {
 	} else {
 		k.depotFull.Add(1)
 	}
+	k.reportDepot(c, c.Node(), had)
 	c.Write(d.ln)
 	c.Work(insnDepot)
 	d.lk.Release(c)
 	if victim != nil {
 		n := k.releaseMag(c, victim)
 		k.noteShed(n)
+	}
+}
+
+// reportDepot tells the allocator's occupancy summary when node's depot
+// has just gone empty or non-empty; had is whether it held a full
+// magazine before the change. Caller holds the depot's lock.
+func (k *Cache) reportDepot(c *machine.CPU, node int, had bool) {
+	if holds := len(k.depots[node].full) > 0; k.notify != nil && holds != had {
+		k.notify(c, node, holds)
 	}
 }
 
@@ -809,6 +827,7 @@ func (k *Cache) shrinkDepot(c *machine.CPU) int {
 				mag = d.full[l-1]
 				d.full = d.full[:l-1]
 				k.depotFull.Add(-1)
+				k.reportDepot(c, di, true)
 				c.Write(d.ln)
 			}
 			c.Work(insnDepot)
@@ -901,6 +920,11 @@ func (k *Cache) ForEachCarved(f func(obj, base arena.Addr)) {
 		f(obj, base)
 	}
 }
+
+// DepotMags reports how many full magazines node's depot holds,
+// uncharged — for audits of a quiescent cache, such as the allocator's
+// occupancy summary against its depots.
+func (k *Cache) DepotMags(node int) int { return len(k.depots[node].full) }
 
 // Stats returns a snapshot of the cache's counters.
 func (k *Cache) Stats() Stats {
