@@ -91,6 +91,11 @@ type Allocator struct {
 	pressureTransitions atomic.Uint64
 	reclaimStepsDone    atomic.Uint64
 
+	// stepLog, when set, sees the rotation position and release count
+	// of every incremental reclaim step in the order they run. Tests set
+	// it (SetStepLog); it is nil otherwise.
+	stepLog func(pos, released int)
+
 	// occ is the exact occupancy summary of the non-CPU reclaim targets
 	// (occupancy.go), armed with the pressure model.
 	occ occupancy
@@ -412,34 +417,9 @@ func (a *Allocator) allocClassOp(c *machine.CPU, cls int) (arena.Addr, error) {
 			return b, nil
 		}
 
-		// Miss: replenish main from the global layer — a whole
-		// target-sized list normally, a single block under the
-		// no-split-freelist ablation. The home node's pool is tried
-		// first (it refills from its node-local page pool); when it is
-		// dry the other nodes' pools are tried in round-robin order,
-		// taking only blocks they already cache. With the occupancy
-		// summary armed, one look at it skips the victims whose bit
-		// says they cache nothing.
+		// Miss: replenish main from the global layer.
 		c.Work(insnRefill)
-		home := a.classes[cls].globalFor(c)
-		var lst blocklist.List
-		var err error
-		if single {
-			lst, err = home.getOne(c)
-		} else {
-			lst, err = home.getList(c)
-		}
-		if lst.Empty() && a.nodes > 1 {
-			if a.occ.armed {
-				a.occ.look(c)
-			}
-			for off := 1; off < a.nodes && lst.Empty(); off++ {
-				victim := a.classes[cls].globals[(home.node+off)%a.nodes]
-				if !a.occ.armed || a.occ.has(victim.bit()) {
-					lst = victim.stealList(c)
-				}
-			}
-		}
+		lst, err := a.refill(c, cls, single)
 		if !lst.Empty() {
 			n := lst.Len()
 			var delta uint64
@@ -485,6 +465,64 @@ func (a *Allocator) allocClassOp(c *machine.CPU, cls int) (arena.Addr, error) {
 		}
 		return arena.NilAddr, exhaustErr(err)
 	}
+}
+
+// refill is one attempt to replenish CPU c's cache of class cls from
+// the global layer: a whole target-sized list normally, a single block
+// under the no-split-freelist ablation. The home node's pool is tried
+// first (it refills from its node-local page pool); when it is dry the
+// other nodes' pools are tried in round-robin order, taking only blocks
+// they already cache. With the occupancy summary armed, one look at it
+// skips the victims whose bit says they cache nothing, and the refill
+// gate (refillDoomed) skips the whole attempt when it can only fail.
+func (a *Allocator) refill(c *machine.CPU, cls int, single bool) (blocklist.List, error) {
+	home := a.classes[cls].globalFor(c)
+	if err := a.refillDoomed(c, cls, home); err != nil {
+		return blocklist.List{}, err
+	}
+	var lst blocklist.List
+	var err error
+	if single {
+		lst, err = home.getOne(c)
+	} else {
+		lst, err = home.getList(c)
+	}
+	if lst.Empty() && a.nodes > 1 {
+		if a.occ.armed {
+			a.occ.look(c)
+		}
+		for off := 1; off < a.nodes && lst.Empty(); off++ {
+			victim := a.classes[cls].globals[(home.node+off)%a.nodes]
+			if !a.occ.armed || a.occ.has(victim.bit()) {
+				lst = victim.stealList(c)
+			}
+		}
+	}
+	return lst, err
+}
+
+// refillDoomed is the refill gate. At PressureCritical with the
+// occupancy summary armed, it reports whether the refill attempt is
+// certain to find nothing, by three reads: one look at the summary
+// finds the class's pool bit clear on every node, so getList (or
+// getOne) must go to the page layer and every steal would be skipped;
+// then the home page pool's refillRefused finds no page filed and the
+// carve peek refusing the page getLists would carve. When all three
+// hold it returns the error the attempt would have returned, after the
+// attempt's fault consult and the controller's miss report, in the
+// attempt's order — so nothing but the cost differs: no global, page
+// or vmblk lock is taken. Otherwise it returns nil and the attempt
+// runs.
+func (a *Allocator) refillDoomed(c *machine.CPU, cls int, home *globalPool) error {
+	if !a.occ.armed || a.pressureLevel() != PressureCritical ||
+		a.occ.anyOf(c, cls*a.nodes, a.nodes) {
+		return nil
+	}
+	err := home.pp.refillRefused(c)
+	if err != nil {
+		home.noteGet(c, true)
+	}
+	return err
 }
 
 // freeClassOp frees one block of class cls on CPU c. Callers go through

@@ -161,11 +161,14 @@ func (a *Allocator) CheckConsistency() error {
 	}
 
 	// Radix buckets: each filed page must be split, with the matching
-	// free count, in this class — and homed on the pool's own node.
+	// free count, in this class — and homed on the pool's own node. The
+	// pool's filed count must match the pages found.
 	for cls := range a.classes {
 		for _, p := range a.classes[cls].pages {
+			filed := 0
 			checkList := func(l *pdList, wantFree int) error {
 				for pg := l.head; pg != -1; {
+					filed++
 					pd := a.vm.pdOf(pg)
 					if pd.state != pdSplit || int(pd.class) != cls {
 						return fmt.Errorf("kmem: class %d bucket holds page %d (%s class %d)",
@@ -199,6 +202,10 @@ func (a *Allocator) CheckConsistency() error {
 				if err := checkList(&p.fifo, -1); err != nil {
 					return err
 				}
+			}
+			if n := int(p.filed.Load()); n != filed {
+				return fmt.Errorf("kmem: class %d node %d page pool counts %d filed pages, lists hold %d",
+					cls, p.node, n, filed)
 			}
 		}
 	}

@@ -74,7 +74,7 @@ const (
 	EvWait          // an AllocWait caller parked (n = 1)
 	EvWake          // parked waiters were released (n = waiters woken)
 	EvFaultInjected // an armed fault point fired (n = 1)
-	EvReclaimStep   // one incremental reclaim step ran (n = 1)
+	EvReclaimStep   // incremental reclaim steps ran (n = steps; a run of clear pool steps is one event)
 
 	// Remote-free shard events (NUMA topologies with shards enabled; all
 	// zero otherwise). EvHomeMemoHit counts sharded frees whose home was

@@ -16,12 +16,21 @@ const InsnSummaryTest = insnSummaryTest
 // SummaryLine is the occupancy summary's line.
 func (a *Allocator) SummaryLine() machine.Line { return a.occ.line }
 
-// ReclaimStepAt runs one incremental reclaim step with the rotation
-// cursor at slot i and returns what the step released.
-func (a *Allocator) ReclaimStepAt(c *machine.CPU, i int) int {
+// ReclaimRunAt runs reclaimRun with the rotation cursor at slot i and
+// at most max steps, and returns what it released and how many steps
+// it ran.
+func (a *Allocator) ReclaimRunAt(c *machine.CPU, i, max int) (released, steps int) {
 	a.reclaimCursor.Store(uint32(i))
-	return a.reclaimStep(c)
+	return a.reclaimRun(c, max)
 }
+
+// ReclaimCursor is the rotation cursor: the number of steps claimed
+// since it was last set.
+func (a *Allocator) ReclaimCursor() uint32 { return a.reclaimCursor.Load() }
+
+// SetStepLog has fn see the rotation position and release count of
+// every incremental reclaim step, in the order they run.
+func (a *Allocator) SetStepLog(fn func(pos, released int)) { a.stepLog = fn }
 
 // NumReclaimSteps is the length of the reclaim rotation.
 func (a *Allocator) NumReclaimSteps() int { return a.reclaimSteps() }

@@ -2,10 +2,12 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"kmem/internal/arena"
 	"kmem/internal/blocklist"
 	"kmem/internal/machine"
+	"kmem/internal/physmem"
 )
 
 // pagePool is one size class's coalesce-to-page layer on one NUMA node
@@ -39,6 +41,11 @@ type pagePool struct {
 
 	// fifo replaces buckets when Params.RadixSort is false (ablation A3).
 	fifo pdList
+
+	// filed counts the pages on buckets or fifo, kept on line: pickPage
+	// finds a page exactly when it is nonzero. Written under lk; atomic
+	// so the refill gate (refillRefused) can read it without the lock.
+	filed atomic.Int32
 
 	// stk is the lock-free stack of parked fully-free pages
 	// (Params.LockFree): a page whose last block comes home is parked
@@ -116,6 +123,7 @@ func (p *pagePool) fileIn(c *machine.CPU, pg int32, nFree int) {
 	if nFree <= 0 || nFree > p.blocksPerPage {
 		panic(fmt.Sprintf("kmem: fileIn nFree=%d", nFree))
 	}
+	p.filed.Add(1)
 	if p.al.params.RadixSort {
 		p.al.vm.pdPush(c, &p.buckets[nFree], pg)
 		if nFree < p.minHint {
@@ -128,6 +136,7 @@ func (p *pagePool) fileIn(c *machine.CPU, pg int32, nFree int) {
 
 // fileOut removes page pg (currently filed with nFree free blocks).
 func (p *pagePool) fileOut(c *machine.CPU, pg int32, nFree int) {
+	p.filed.Add(-1)
 	if p.al.params.RadixSort {
 		p.al.vm.pdRemove(c, &p.buckets[nFree], pg)
 	} else {
@@ -145,12 +154,21 @@ func (p *pagePool) refile(c *machine.CPU, pg int32, oldFree, newFree int) {
 	p.fileIn(c, pg, newFree)
 }
 
+// refillFault consults the page-refill fault point, as every carve
+// does first, and reports whether it fired.
+func (p *pagePool) refillFault() bool {
+	if p.al.params.Faults.Should(FaultPagePoolRefill) {
+		p.al.noteFault()
+		return true
+	}
+	return false
+}
+
 // carvePage obtains one page homed on the pool's node from the vmblk
 // layer and splits it into blocks, building the per-page freelist inside
 // the page itself.
 func (p *pagePool) carvePage(c *machine.CPU) (int32, error) {
-	if p.al.params.Faults.Should(FaultPagePoolRefill) {
-		p.al.noteFault()
+	if p.refillFault() {
 		return -1, ErrNoMemory
 	}
 	pg, err := p.al.vm.allocSplitPage(c, p.node, p.cls)
@@ -180,6 +198,25 @@ func (p *pagePool) carvePage(c *machine.CPU) (int32, error) {
 	p.al.emit(p.cls, EvPageCarve, 1)
 	p.fileIn(c, pg, p.blocksPerPage)
 	return pg, nil
+}
+
+// refillRefused is the page pool's half of the refill gate
+// (Allocator.refillDoomed). Without the lock it reads the pool's line
+// and reports whether getLists is certain to hand out nothing: no page
+// is filed, so the first pick finds none, and the carve peek refuses
+// the page the carve would ask for. Then it makes the carve's fault
+// consult and returns the error getLists would return; otherwise nil.
+// Parked pages are not looked at: the gate runs only with the occupancy
+// summary armed, which LockFree, the only mode that parks, disarms.
+func (p *pagePool) refillRefused(c *machine.CPU) error {
+	c.Read(p.line)
+	if p.filed.Load() > 0 || !p.al.vm.refused(c, 1, p.node) {
+		return nil
+	}
+	if p.refillFault() {
+		return ErrNoMemory
+	}
+	return physmem.ErrNoPages
 }
 
 // getLists fills up to nLists lists of exactly target blocks each (the

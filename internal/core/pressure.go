@@ -126,56 +126,86 @@ func (a *Allocator) reclaimSteps() int {
 	return n
 }
 
-// reclaimStep performs one increment of the reclaim sweep — flush one
-// CPU's caches, drain one global pool, decommit free spans, or shed one
-// object cache's depot — chosen round-robin by a shared cursor so
+// reclaimRun performs the incremental reclaim step at the shared
+// cursor — flush one CPU's caches, drain one global pool, decommit free
+// spans, or shed one object cache's depot — chosen round-robin so
 // concurrent critical-path callers divide the sweep instead of each
 // repeating it. The caller is charged insnReclaimStep (versus
 // insnReclaim for the stop-the-world path), which is how
 // PressureCritical converts one caller's long stall into short bounded
 // stalls spread across allocating CPUs. It returns how much the step
-// released: blocks taken from the drained CPU's caches, blocks and
+// released — blocks taken from the drained CPU's caches, blocks and
 // parked pages pushed down by a global drain, pages decommitted, or
-// buffers a cache shed freed. Zero means the step moved nothing, so a
-// retry would see exactly what the last failed attempt saw.
+// buffers a cache shed freed — and how many steps it ran. A release of
+// zero means the steps moved nothing, so a retry would see exactly what
+// the last failed attempt saw.
 //
 // Every step looks at its target first and drains only when the look
 // finds something, so the rotation and the release counts are the same
 // as without looks. A CPU step peeks the CPU's lines. A global-pool or
 // depot step reads its target's bits in the occupancy summary when that
 // is armed; a clear bit makes the whole step one look, without
-// insnReclaimStep.
-func (a *Allocator) reclaimStep(c *machine.CPU) int {
-	i := int((a.reclaimCursor.Add(1) - 1) % uint32(a.reclaimSteps()))
-	a.reclaimStepsDone.Add(1)
-	a.emit(-1, EvReclaimStep, 1)
-	var n int
-	if i < len(a.percpu) {
-		c.Work(insnReclaimStep)
-		if a.cpuHolds(c, i) {
-			n = a.drainCPU(c, i)
-		}
-	} else if i -= len(a.percpu); i < len(a.classes)*a.nodes {
-		g := a.classes[i/a.nodes].globals[i%a.nodes]
-		if !a.occ.armed || a.occ.anyOf(c, g.bit(), 1) {
-			c.Work(insnReclaimStep)
-			if a.occ.armed || g.holds(c) {
-				n = g.drainAll(c)
+// insnReclaimStep. The look that finds a pool's bit clear also reads
+// the bits of the pools that follow it in the rotation, so it covers
+// the whole run of clear pools, up to max steps: one CAS claims the
+// run's cursor positions, and they count as that many steps, each
+// releasing nothing.
+func (a *Allocator) reclaimRun(c *machine.CPU, max int) (released, steps int) {
+	pools := len(a.classes) * a.nodes
+	var i, j int  // rotation position; pool index at a global-pool step
+	var skip bool // the steps cover a run of clear pools
+	for {
+		cur := a.reclaimCursor.Load()
+		i = int(cur % uint32(a.reclaimSteps()))
+		j = i - len(a.percpu)
+		steps, skip = 1, false
+		if a.occ.armed && j >= 0 && j < pools {
+			a.occ.look(c)
+			if skip = !a.occ.has(j); skip {
+				for steps < max && j+steps < pools && !a.occ.has(j+steps) {
+					steps++
+				}
 			}
 		}
-	} else if i -= len(a.classes) * a.nodes; a.params.LazySpans && i == 0 {
+		if a.reclaimCursor.CompareAndSwap(cur, cur+uint32(steps)) {
+			break
+		}
+		// Another caller claimed a step first; look again where the
+		// cursor is now.
+	}
+	a.reclaimStepsDone.Add(uint64(steps))
+	a.emit(-1, EvReclaimStep, steps)
+	switch {
+	case skip:
+	case i < len(a.percpu):
 		c.Work(insnReclaimStep)
-		n = int(a.vm.decommitFree(c, trimStepPages))
-	} else {
+		if a.cpuHolds(c, i) {
+			released = a.drainCPU(c, i)
+		}
+	case j < pools:
+		g := a.classes[j/a.nodes].globals[j%a.nodes]
+		c.Work(insnReclaimStep)
+		if a.occ.armed || g.holds(c) {
+			released = g.drainAll(c)
+		}
+	case a.params.LazySpans && j == pools:
+		c.Work(insnReclaimStep)
+		released = int(a.vm.decommitFree(c, trimStepPages))
+	default:
 		// One object cache's depot shrink — the incremental form of the
 		// cache shed the stop-the-world reclaim performs in full. Only
 		// reached when caches are registered; shedOne keeps its own
 		// id-based cursor, so the rotation position only decides *when*
 		// a shed step runs, not which cache it lands on.
-		n = a.shedOne(c)
+		released = a.shedOne(c)
+	}
+	if a.stepLog != nil {
+		for k := 0; k < steps; k++ {
+			a.stepLog(i+k, released)
+		}
 	}
 	a.wakeAll()
-	return n
+	return released, steps
 }
 
 // reclaimUntilProgress spends the caller's incremental-reclaim budget
@@ -189,8 +219,9 @@ func (a *Allocator) reclaimStep(c *machine.CPU) int {
 // the previous failure.
 func (a *Allocator) reclaimUntilProgress(c *machine.CPU, budget *int) {
 	for *budget > 0 {
-		*budget--
-		if a.reclaimStep(c) > 0 {
+		released, steps := a.reclaimRun(c, *budget)
+		*budget -= steps
+		if released > 0 {
 			return
 		}
 	}

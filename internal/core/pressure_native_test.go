@@ -171,3 +171,98 @@ func TestConcurrentReclaimRace(t *testing.T) {
 			got, want, st.VM.VmblkCreates)
 	}
 }
+
+// TestReclaimRunClaimRace races incremental reclaimers in Native mode
+// under the race detector. Four CPUs on two nodes churn allocations at
+// PressureCritical and spend whole reclaim budgets between them, so
+// runs of clear pool steps, each claimed with one CAS on the cursor,
+// interleave with single steps while pool bits flip. Every cursor
+// position must be taken exactly once: with the cursor started at 0
+// and at N at the end, the step log holds N steps, and rotation
+// position p as many times as there are values in [0, N) that are p
+// modulo the rotation length.
+func TestReclaimRunClaimRace(t *testing.T) {
+	cfg := machine.DefaultConfig()
+	cfg.Mode = machine.Native
+	cfg.NumCPUs = 4
+	cfg.Nodes = 2
+	cfg.MemBytes = 32 << 20
+	cfg.PhysPages = 64
+	m := machine.New(cfg)
+	a, err := New(m, Params{
+		RadixSort:    true,
+		TargetFor:    func(uint32) int { return 2 },
+		GblTargetFor: func(uint32) int { return 1 },
+		Pressure:     &PressureConfig{LowPages: 60, MinPages: 56},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	counts := make([]int, a.reclaimSteps())
+	logged := 0
+	a.stepLog = func(pos, _ int) {
+		mu.Lock()
+		counts[pos]++
+		logged++
+		mu.Unlock()
+	}
+	steps0 := a.ReclaimStepsDone()
+
+	var wg sync.WaitGroup
+	for i := 0; i < m.NumCPUs(); i++ {
+		wg.Add(1)
+		go func(c *machine.CPU) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(c.ID())))
+			sizes := []uint64{64, 512, 2048, 4096}
+			type blk struct {
+				addr arena.Addr
+				size uint64
+			}
+			var held []blk
+			for op := 0; op < scaledOps(3000); op++ {
+				switch r := rng.Intn(4); {
+				case r < 2 && len(held) < 24:
+					size := sizes[rng.Intn(len(sizes))]
+					if b, err := a.Alloc(c, size); err == nil {
+						held = append(held, blk{b, size})
+					}
+				case r < 3 && len(held) > 0:
+					j := rng.Intn(len(held))
+					a.Free(c, held[j].addr, held[j].size)
+					held = append(held[:j], held[j+1:]...)
+				default:
+					for budget := a.reclaimSteps(); budget > 0; {
+						a.reclaimUntilProgress(c, &budget)
+					}
+				}
+			}
+			for _, b := range held {
+				a.Free(c, b.addr, b.size)
+			}
+		}(m.CPU(i))
+	}
+	wg.Wait()
+
+	n := int(a.reclaimCursor.Load())
+	if got := int(a.ReclaimStepsDone() - steps0); got != n || logged != n {
+		t.Fatalf("cursor at %d, but %d steps done and %d logged", n, got, logged)
+	}
+	for p, got := range counts {
+		want := 0
+		if p < n {
+			want = (n-1-p)/len(counts) + 1
+		}
+		if got != want {
+			t.Errorf("rotation position %d taken %d times, want %d of the %d cursor values", p, got, want, n)
+		}
+	}
+	if n < 10*len(counts) {
+		t.Fatalf("only %d steps ran; the test raced too little", n)
+	}
+	a.DrainAll(m.CPU(0))
+	if err := a.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -321,8 +321,12 @@ func exhaust(a *Allocator, c *machine.CPU) (held []arena.Addr) {
 // TestCriticalFailureRetriesOnlyOnProgress pins the cost of a failure
 // when memory is truly gone: the allocation still walks the whole
 // incremental-reclaim budget, but since no step releases anything it
-// retries only once, after the last step — one physmem commit failure
-// for its first attempt and one for that retry, instead of one per step.
+// retries only once, after the last step — two attempts instead of one
+// per step. An attempt reaches physmem only when the node has no free
+// span, so that a carve would need a new vmblk: then each attempt makes
+// one refused commit, at most two in all. While a free span is left,
+// as here, the carve peek and the refill gate refuse both attempts
+// without a physmem call.
 func TestCriticalFailureRetriesOnlyOnProgress(t *testing.T) {
 	a, m := pressureAllocator(t, 20, &PressureConfig{LowPages: 8, MinPages: 6}, nil)
 	c := m.CPU(0)
@@ -341,8 +345,8 @@ func TestCriticalFailureRetriesOnlyOnProgress(t *testing.T) {
 			t.Errorf("Alloc(%d): %d reclaim steps, want the full budget of %d", size, got, want)
 		}
 		// No step is productive, so the retries number 0 + 1: with the
-		// first attempt, two commit failures. Retrying after every step
-		// would make reclaimSteps() + 1.
+		// first attempt, at most two commit failures. Retrying after
+		// every step would make reclaimSteps() + 1.
 		if got := m.Phys().Stats().Failures - fails0; got > 2 {
 			t.Errorf("Alloc(%d): %d physmem failures, want at most 2 (first attempt + final retry)", size, got)
 		}
@@ -580,7 +584,7 @@ func TestReclaimStepRequotesEmptyCache(t *testing.T) {
 		t.Fatal("peek missed the pending requote of an empty cache")
 	}
 	a.reclaimCursor.Store(1)
-	if n := a.reclaimStep(c0); n != 0 {
+	if n, _ := a.reclaimRun(c0, 1); n != 0 {
 		t.Fatalf("step on an empty cache released %d", n)
 	}
 	if got, want := pc.target, ctl.curTarget(); got != want {

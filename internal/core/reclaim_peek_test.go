@@ -18,12 +18,14 @@ import (
 // insnReclaimStep plus one read per class line its peek looks at. With
 // the occupancy summary armed, a global-pool or depot step finds its
 // target's bits clear, so it charges only insnSummaryTest and one read
-// of the summary line. Under LockFree the summary is disarmed and those
-// steps peek instead: insnReclaimStep plus one read of the pool's line,
-// or of each depot's line. No step takes a lock, makes an atomic,
-// opens an interrupt window or stores. And because the peek only reads,
-// the victim CPU's next fast-path op still hits its cache line, where a
-// full drain would have pulled the line away.
+// of the summary line, and a run of k such pool steps in a row charges
+// that same one look and advances the cursor by k. Under LockFree the
+// summary is disarmed and those steps peek instead: insnReclaimStep
+// plus one read of the pool's line, or of each depot's line, one step
+// at a time. No step takes a lock, makes an atomic, opens an interrupt
+// window or stores. And because the peek only reads, the victim CPU's
+// next fast-path op still hits its cache line, where a full drain would
+// have pulled the line away.
 func TestReclaimEmptyStepCost(t *testing.T) {
 	for _, tc := range []struct {
 		name           string
@@ -82,24 +84,31 @@ func testReclaimEmptyStepCost(t *testing.T, rseq, lockFree bool) {
 	}
 	a.DrainCPU(victim, victim.ID())
 	for slot := cfg.NumCPUs; slot < cfg.NumCPUs+a.NumClasses(); slot++ {
-		a.ReclaimStepAt(c0, slot)
+		a.ReclaimRunAt(c0, slot, 1)
 	}
 	if a.Pressure() != core.PressureCritical {
 		t.Fatalf("pressure = %v after setup, want critical", a.Pressure())
 	}
 
-	// measure runs the step at slot on CPU 0 and checks its charge:
-	// insns instructions besides its reads, and exactly the reads in
-	// want (nil: any wantReads lines), nothing else.
-	measure := func(kind string, slot int, want []machine.Line, wantReads, insns int) {
+	// measure runs up to max steps from slot on CPU 0 and checks that
+	// they are wantSteps steps, that the cursor moved by as many, and
+	// their charge: insns instructions besides their reads, and exactly
+	// the reads in want (nil: any wantReads lines), nothing else.
+	measure := func(kind string, slot, max, wantSteps int, want []machine.Line, wantReads, insns int) {
 		t.Helper()
 		before := c0.Stats()
 		c0.StartTrace()
-		n := a.ReclaimStepAt(c0, slot)
+		n, steps := a.ReclaimRunAt(c0, slot, max)
 		trace := append([]machine.TraceEvent(nil), c0.StopTrace()...)
 		after := c0.Stats()
 		if n != 0 {
 			t.Fatalf("%s step released %d, want 0 from an empty target", kind, n)
+		}
+		if steps != wantSteps {
+			t.Fatalf("%s: ran %d steps, want %d", kind, steps, wantSteps)
+		}
+		if got := a.ReclaimCursor(); got != uint32(slot+wantSteps) {
+			t.Fatalf("%s: cursor at %d after the steps from %d, want %d", kind, got, slot, slot+wantSteps)
 		}
 		if want != nil {
 			wantReads = len(want)
@@ -134,14 +143,20 @@ func testReclaimEmptyStepCost(t *testing.T, rseq, lockFree bool) {
 	for i := 0; i < a.NumClasses(); i++ {
 		cpuLines = append(cpuLines, a.CacheLine(victim.ID(), i))
 	}
-	measure("cpu", victim.ID(), cpuLines, 0, core.InsnReclaimStep)
+	measure("cpu", victim.ID(), 1, 1, cpuLines, 0, core.InsnReclaimStep)
 
 	gline, locks0 := a.GlobalPool(cls, 0)
 	summary := []machine.Line{a.SummaryLine()}
+	// The run starts at the class's pool and may take the whole budget;
+	// it ends at the last pool, before the depot step.
+	budget, pools := a.NumReclaimSteps(), a.NumClasses()*cfg.Nodes
 	if lockFree {
-		measure("global", cfg.NumCPUs+cls, []machine.Line{gline}, 0, core.InsnReclaimStep)
+		measure("global", cfg.NumCPUs+cls, 1, 1, []machine.Line{gline}, 0, core.InsnReclaimStep)
+		measure("global run", cfg.NumCPUs+cls, budget, 1, []machine.Line{gline}, 0, core.InsnReclaimStep)
 	} else {
-		measure("global", cfg.NumCPUs+cls, summary, 0, core.InsnSummaryTest)
+		measure("global", cfg.NumCPUs+cls, 1, 1, summary, 0, core.InsnSummaryTest)
+		measure("global run", cfg.NumCPUs+cls, budget, pools-cls, summary, 0, core.InsnSummaryTest)
+		measure("global run of 3", cfg.NumCPUs, 3, 3, summary, 0, core.InsnSummaryTest)
 	}
 	if _, locks := a.GlobalPool(cls, 0); locks != locks0 {
 		t.Errorf("global step moved the pool's lock stats %+v -> %+v", locks0, locks)
@@ -149,9 +164,9 @@ func testReclaimEmptyStepCost(t *testing.T, rseq, lockFree bool) {
 
 	sheds0 := k.Stats()
 	if lockFree {
-		measure("depot", a.NumReclaimSteps()-1, nil, cfg.Nodes, core.InsnReclaimStep)
+		measure("depot", a.NumReclaimSteps()-1, budget, 1, nil, cfg.Nodes, core.InsnReclaimStep)
 	} else {
-		measure("depot", a.NumReclaimSteps()-1, summary, 0, core.InsnSummaryTest)
+		measure("depot", a.NumReclaimSteps()-1, budget, 1, summary, 0, core.InsnSummaryTest)
 	}
 	if st := k.Stats(); st != sheds0 {
 		t.Errorf("depot step moved the cache's stats %+v -> %+v", sheds0, st)

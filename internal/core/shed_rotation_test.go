@@ -140,7 +140,7 @@ func TestReclaimStepShedsCaches(t *testing.T) {
 			unreg2()
 			unreg2 = a.RegisterCacheShed(func(*machine.CPU, bool) int { v2++; return 0 })
 		}
-		a.reclaimStep(c)
+		a.reclaimRun(c, 1)
 	}
 	defer unreg2()
 
